@@ -1,12 +1,11 @@
-"""Struct-of-arrays vector engine vs the batched scalar path.
+"""Struct-of-arrays vector engine vs the per-scenario scalar loop.
 
 Times a 256-scenario EDF/ccEDF campaign (paper task sets, fixed
 worst-case-fraction actuals so the workload is job-invariant) through
 two engines that produce bit-identical results:
 
-* ``scalar`` — every scenario through ``Simulator.run(fast=True)``,
-  the per-scenario path :class:`repro.sim.batch.ScenarioBatch` uses by
-  default;
+* ``scalar`` — every scenario through ``Simulator.run``, the plain
+  event loop the default campaign path runs;
 * ``vector`` — the same scenarios through
   :func:`repro.sim.vector.run_vectorized`, which advances all
   array-expressible scenarios lock-step in struct-of-arrays form.
@@ -17,9 +16,10 @@ applies to), a *mixed* Table 2 campaign — all five scheme rows, EDF
 through BAS-2, with the paper's stochastic 20-100% actuals — through
 the same pure simulation phase (the ``--min-mixed-speedup`` floor),
 and the end-to-end :class:`~repro.sim.batch.ScenarioBatch` pipeline
-(which adds the common per-scenario profile reduction, diluting the
-ratio).  Every timed pair is verified equivalent first — counts and
-misses exactly, charge/energy to relative 1e-9 — and each vector row
+against a plain per-scenario ``run`` + ``profile`` loop (the common
+profile reduction dilutes the ratio).  Every timed pair is verified
+bit-identical first — counts, misses, charge and energy — and each
+vector row
 must have vectorized every scenario (zero fallbacks), otherwise the
 benchmark would partly time the scalar engine against itself.
 Results are written machine-readable to ``BENCH_vector.json`` at the
@@ -97,7 +97,7 @@ def _assert_equivalent(vec, scalar, context):
     assert vec.misses == scalar.misses, context
     for name in ("charge", "energy"):
         v, s = getattr(vec, name), getattr(scalar, name)
-        assert abs(v - s) <= 1e-9 * max(1.0, abs(s)), (
+        assert v == s, (
             f"{context}: {name} diverged: vector={v!r} scalar={s!r}"
         )
 
@@ -117,10 +117,8 @@ def bench_sim(n_scenarios, n_graphs, hyperperiods, seed,
         f"scalar engine (first: {fallbacks[0]!r}) — the timing would be "
         "scalar-vs-scalar"
     )
-    sres, t_scalar = _timed(
-        lambda: [sim.run(h, fast=True) for sim, h in scal]
-    )
-    vres, t_vector = _timed(lambda: run_vectorized(vect, fast=True))
+    sres, t_scalar = _timed(lambda: [sim.run(h) for sim, h in scal])
+    vres, t_vector = _timed(lambda: run_vectorized(vect))
     for k, (v, s) in enumerate(zip(vres, sres)):
         _assert_equivalent(v, s, f"scenario {k}")
     return {
@@ -133,21 +131,23 @@ def bench_sim(n_scenarios, n_graphs, hyperperiods, seed,
 
 
 def bench_batch(n_scenarios, n_graphs, hyperperiods, seed):
-    """End-to-end ScenarioBatch: engine='vector' vs engine='scalar'."""
+    """End-to-end ScenarioBatch vs a per-scenario run + profile loop."""
     scal = _build_scenarios(n_scenarios, n_graphs, hyperperiods, seed)
     vect = _build_scenarios(n_scenarios, n_graphs, hyperperiods, seed)
-    sout, t_scalar = _timed(
-        ScenarioBatch(
-            [BatchItem(sim, h) for sim, h in scal], engine="scalar"
-        ).run
-    )
+
+    def scalar_loop():
+        out = []
+        for sim, h in scal:
+            res = sim.run(h)
+            out.append((res, res.profile()))
+        return out
+
+    sout, t_scalar = _timed(scalar_loop)
     vout, t_vector = _timed(
-        ScenarioBatch(
-            [BatchItem(sim, h) for sim, h in vect], engine="vector"
-        ).run
+        ScenarioBatch([BatchItem(sim, h) for sim, h in vect]).run
     )
-    for k, (v, s) in enumerate(zip(vout, sout)):
-        _assert_equivalent(v.result, s.result, f"scenario {k}")
+    for k, (v, (res, _)) in enumerate(zip(vout, sout)):
+        _assert_equivalent(v.result, res, f"scenario {k}")
     return {
         "scenarios": n_scenarios,
         "hyperperiods": hyperperiods,

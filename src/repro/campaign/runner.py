@@ -82,6 +82,11 @@ __all__ = [
 
 from ..core.estimator import OracleEstimator  # re-export for one-shot users
 
+#: Scenario specs per :class:`~repro.sim.batch.ScenarioBatch` when
+#: ``CampaignRunner(sim_vector=True)`` batches periodic scenarios; the
+#: vector engine only pays off on wide batches.
+_VECTOR_BATCH = 256
+
 
 # ----------------------------------------------------------------------
 # Executors (one per spec kind) — pure functions of the spec
@@ -112,7 +117,7 @@ def _build_scenario_sim(spec: ScenarioSpec) -> Tuple[Simulator, float]:
     return sim, horizon
 
 
-def _simulate(spec: ScenarioSpec, *, fast: bool = False) -> SimulationResult:
+def _simulate(spec: ScenarioSpec) -> SimulationResult:
     if spec.scheme == NEAR_OPTIMAL:
         processor = resolve_processor(spec.processor)
         task_set = paper_task_set(
@@ -133,7 +138,7 @@ def _simulate(spec: ScenarioSpec, *, fast: bool = False) -> SimulationResult:
         )
         return near_optimal_run(task_set, processor, horizon, actuals=actuals)
     sim, horizon = _build_scenario_sim(spec)
-    return sim.run(horizon, fast=fast)
+    return sim.run(horizon)
 
 
 def _scenario_battery(spec: ScenarioSpec):
@@ -167,10 +172,8 @@ def _scenario_metrics(
     return metrics
 
 
-def _run_periodic(
-    spec: ScenarioSpec, *, fast_sim: bool = False
-) -> ScenarioResult:
-    res = _simulate(spec, fast=fast_sim)
+def _run_periodic(spec: ScenarioSpec) -> ScenarioResult:
+    res = _simulate(spec)
     profile = res.profile()
     cell = _scenario_battery(spec)
     battery_run = None
@@ -184,21 +187,16 @@ def _run_periodic(
 def run_scenario_batch(
     items: Sequence[Tuple[int, ScenarioSpec]],
     *,
-    fast_sim: bool = True,
-    sim_vector: bool = False,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[Tuple[int, ScenarioResult]]:
     """Execute several scenario specs through one :class:`ScenarioBatch`.
 
-    Metric-identical to running each spec through
-    :func:`run_spec` with the same ``fast_sim`` setting — the batch
-    only changes *how* the work is driven (engine fast paths plus a
+    Bitwise metric-identical to running each spec through
+    :func:`run_spec` — the batch only changes *how* the work is driven
+    (the struct-of-arrays :class:`~repro.sim.vector.VectorEngine`,
+    which advances every array-expressible scenario lock-step and
+    falls back per scenario to the scalar engine otherwise, plus a
     single columnar battery hand-off), never what a scenario computes.
-    ``sim_vector`` additionally routes the batch through the
-    struct-of-arrays vector engine
-    (:class:`~repro.sim.vector.VectorEngine`), which advances every
-    array-expressible scenario lock-step and falls back per scenario
-    to the scalar engine otherwise — still result-identical.
 
     ``stats``, when given a dict, receives execution telemetry from
     the batch (currently ``numeric_demotions``: scenarios the vector
@@ -213,10 +211,9 @@ def run_scenario_batch(
                 rebin=spec.rebin,
             )
             for _, spec in items
-        ],
-        engine="vector" if sim_vector else "scalar",
+        ]
     )
-    outcomes = batch.run(fast=fast_sim)
+    outcomes = batch.run()
     if stats is not None:
         stats.update(batch.last_stats)
     return [
@@ -327,17 +324,10 @@ def _run_constant(spec: ConstantLoadSpec) -> ScenarioResult:
     )
 
 
-def run_spec(spec: Spec, *, fast_sim: bool = False) -> ScenarioResult:
-    """Execute one spec in the calling process.
-
-    ``fast_sim`` enables the engine's steady-state fast-forward for
-    periodic scenarios (count/label-exact, charge equivalent to float
-    dust; it falls back to the naive event loop whenever it cannot be
-    exact).  The default stays off so results are bit-identical to
-    previous engine generations wherever those were well-defined.
-    """
+def run_spec(spec: Spec) -> ScenarioResult:
+    """Execute one spec in the calling process."""
     if isinstance(spec, ScenarioSpec):
-        return _run_periodic(spec, fast_sim=fast_sim)
+        return _run_periodic(spec)
     if isinstance(spec, OneShotSpec):
         return _run_oneshot(spec)
     if isinstance(spec, SurvivalSpec):
@@ -347,31 +337,18 @@ def run_spec(spec: Spec, *, fast_sim: bool = False) -> ScenarioResult:
     raise SchedulingError(f"unknown spec type {type(spec).__name__}")
 
 
-def _worker(item: Tuple) -> Tuple[int, ScenarioResult]:
-    index, spec = item[0], item[1]
-    fast_sim = bool(item[2]) if len(item) > 2 else False
-    if fast_sim:
-        return index, run_spec(spec, fast_sim=True)
-    # Default path calls positionally so wrappers of ``run_spec``
-    # (tests, instrumentation) keep working unchanged.
+def _worker(item: Tuple[int, Spec]) -> Tuple[int, ScenarioResult]:
+    index, spec = item
     return index, run_spec(spec)
 
 
-def _batch_worker(payload: Tuple):
-    # Two-tuple payloads (pre-vector generations) still work: the
-    # vector flag simply defaults off.  Four-element payloads ask for
-    # telemetry and get ``(pairs, stats)`` back; shorter ones keep the
-    # historical plain-pairs return shape.
-    items, fast_sim = payload[0], payload[1]
-    sim_vector = bool(payload[2]) if len(payload) > 2 else False
-    want_stats = len(payload) > 3 and bool(payload[3])
-    stats: Optional[Dict[str, int]] = {} if want_stats else None
-    pairs = run_scenario_batch(
-        list(items), fast_sim=fast_sim, sim_vector=sim_vector, stats=stats
-    )
-    if want_stats:
-        return pairs, stats
-    return pairs
+def _batch_worker(
+    items: Tuple[Tuple[int, ScenarioSpec], ...],
+) -> Tuple[List[Tuple[int, ScenarioResult]], Dict[str, int]]:
+    """One vector batch: ``(index, result)`` pairs plus its telemetry."""
+    stats: Dict[str, int] = {}
+    pairs = run_scenario_batch(list(items), stats=stats)
+    return pairs, stats
 
 
 def _guarded_worker(
@@ -387,13 +364,13 @@ def _guarded_worker(
     carries its backoff delay with it, so waits from different specs
     overlap instead of serializing in the parent.
     """
-    index, spec, fast_sim, timeout, delay = item
+    index, spec, timeout, delay = item
     if delay > 0:
         time.sleep(delay)
     try:
         with spec_deadline(timeout, what=f"spec {index}"):
             faults.fire("spec.execute", index)
-            result = run_spec(spec, fast_sim=fast_sim)
+            result = run_spec(spec)
         return index, result, None
     except Exception as exc:  # noqa: BLE001 - containment boundary
         return index, None, FailureInfo.from_exception(exc)
@@ -507,32 +484,17 @@ class CampaignRunner(GrowableRunnerMixin):
         every start method — the pool initializer replays the plugin
         snapshot in each worker — while live-object ad-hoc entries
         still need ``fork`` to be inherited.
-    fast_sim:
-        Enables the engine's steady-state fast-forward for periodic
-        scenarios (see :meth:`repro.sim.engine.Simulator.run`).  Off
-        by default: results are then bit-identical to the naive event
-        loop; on, counts and labels stay exact while charge/energy may
-        differ at float-dust level for horizons beyond three
-        hyperperiods.  Runs with either setting are individually
-        deterministic (sequential == parallel, any worker count).
-    sim_batch:
-        Scenario specs per :class:`~repro.sim.batch.ScenarioBatch`
-        (1 disables batching).  Batching groups periodic scenarios so
-        each work unit advances many engines and hands their columnar
-        traces to the battery kernels in one pass — metric-identical
-        to unbatched execution with the same ``fast_sim`` setting.
     sim_vector:
-        Routes each scenario batch through the struct-of-arrays
-        vector engine (:class:`~repro.sim.vector.VectorEngine`),
-        advancing all array-expressible scenarios of a batch in
-        lock-step numpy passes and falling back per scenario to the
-        scalar engine otherwise — result-identical either way.  Every
-        Table 2 scheme (EDF through BAS-2, stochastic actuals
-        included) is array-expressible, so paper campaigns vectorize
-        with zero fallbacks.  The
-        vector engine only pays off on wide batches, so when
-        ``sim_batch`` is left at its default of 1 this flag raises it
-        to 256; pass an explicit ``sim_batch`` to control the width.
+        Groups periodic scenarios into batches of 256 and routes each
+        through the struct-of-arrays vector engine
+        (:class:`~repro.sim.vector.VectorEngine`), advancing all
+        array-expressible scenarios of a batch in lock-step numpy
+        passes and falling back per scenario to the scalar engine
+        otherwise; the battery side gets one columnar hand-off per
+        batch.  Results are bit-identical to the default per-spec
+        path.  Every Table 2 scheme (EDF through BAS-2, stochastic
+        actuals included) is array-expressible, so paper campaigns
+        vectorize with zero fallbacks.
     max_retries:
         Failed specs are re-executed up to this many times before the
         ``on_error`` policy applies.  Retries back off with
@@ -567,8 +529,6 @@ class CampaignRunner(GrowableRunnerMixin):
         cache: Optional[ResultCache] = None,
         chunksize: int = 1,
         start_method: Optional[str] = None,
-        fast_sim: bool = False,
-        sim_batch: int = 1,
         sim_vector: bool = False,
         max_retries: int = 0,
         spec_timeout: Optional[float] = None,
@@ -579,8 +539,6 @@ class CampaignRunner(GrowableRunnerMixin):
             raise SchedulingError(f"n_workers must be >= 1, got {n_workers}")
         if chunksize < 1:
             raise SchedulingError(f"chunksize must be >= 1, got {chunksize}")
-        if sim_batch < 1:
-            raise SchedulingError(f"sim_batch must be >= 1, got {sim_batch}")
         if max_retries < 0:
             raise SchedulingError(
                 f"max_retries must be >= 0, got {max_retries}"
@@ -601,11 +559,7 @@ class CampaignRunner(GrowableRunnerMixin):
         self.cache = cache
         self.chunksize = int(chunksize)
         self.start_method = start_method
-        self.fast_sim = bool(fast_sim)
         self.sim_vector = bool(sim_vector)
-        if sim_vector and sim_batch == 1:
-            sim_batch = 256
-        self.sim_batch = int(sim_batch)
         self.max_retries = int(max_retries)
         self.spec_timeout = (
             float(spec_timeout) if spec_timeout is not None else None
@@ -678,7 +632,7 @@ class CampaignRunner(GrowableRunnerMixin):
             report = self._run_contained(specs, pending, absorb)
         elif pending:
             batched: List[int] = []
-            if self.sim_batch > 1:
+            if self.sim_vector:
                 batched = [
                     i
                     for i in pending
@@ -687,25 +641,17 @@ class CampaignRunner(GrowableRunnerMixin):
                 ]
             batched_set = set(batched)
             singles = [
-                (i, specs[i], self.fast_sim)
-                for i in pending
-                if i not in batched_set
+                (i, specs[i]) for i in pending if i not in batched_set
             ]
             if singles:
                 for index, result in self._execute(singles, _worker):
                     absorb(index, result)
             if batched:
                 payloads = [
-                    (
-                        tuple(
-                            (i, specs[i])
-                            for i in batched[k:k + self.sim_batch]
-                        ),
-                        self.fast_sim,
-                        self.sim_vector,
-                        True,
+                    tuple(
+                        (i, specs[i]) for i in batched[k:k + _VECTOR_BATCH]
                     )
-                    for k in range(0, len(batched), self.sim_batch)
+                    for k in range(0, len(batched), _VECTOR_BATCH)
                 ]
                 for group, stats in self._execute(payloads, _batch_worker):
                     demoted += int(stats.get("numeric_demotions", 0))
@@ -747,7 +693,7 @@ class CampaignRunner(GrowableRunnerMixin):
         queue: List[Tuple[int, float]] = [(i, 0.0) for i in pending]
         while queue:
             items = [
-                (i, specs[i], self.fast_sim, self.spec_timeout, delay)
+                (i, specs[i], self.spec_timeout, delay)
                 for i, delay in queue
             ]
             queue = []

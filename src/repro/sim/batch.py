@@ -5,10 +5,10 @@ which is "simulate a schedule, reduce its trace to a current profile,
 tile that profile through a battery model".  :class:`ScenarioBatch`
 drives that pipeline for many scenarios at once:
 
-* every scenario's engine run gets the steady-state fast path
-  (:meth:`repro.sim.engine.Simulator.run` with ``fast=True``), so the
-  per-event Python loop only executes until the dispatch cycle
-  converges;
+* the scenarios advance lock-step through the struct-of-arrays
+  :class:`~repro.sim.vector.VectorEngine`, which falls back per
+  scenario to the scalar :meth:`repro.sim.engine.Simulator.run` for
+  anything it cannot express;
 * the resulting columnar :class:`~repro.sim.trace.ExecutionTrace`
   profiles are reduced and handed to the vectorized battery kernels in
   a single call
@@ -17,11 +17,11 @@ drives that pipeline for many scenarios at once:
   per-segment scalar walk.
 
 The batch is *semantics-preserving*: each scenario's outcome is
-exactly what running it alone would produce (the engine fast path
-guarantees count/label equivalence and ulp-level charge equivalence;
-the battery hand-off is bit-identical to the per-scenario call).  The
-campaign layer (:class:`repro.campaign.runner.CampaignRunner` with
-``sim_batch > 1``) builds batches from scenario specs; this module
+exactly what running it alone would produce, bit for bit (the vector
+engine replays the scalar loop's arithmetic; the battery hand-off is
+bit-identical to the per-scenario call).  The campaign layer
+(:class:`repro.campaign.runner.CampaignRunner` with
+``sim_vector=True``) builds batches from scenario specs; this module
 stays campaign-agnostic so studies can drive it directly.
 """
 
@@ -78,32 +78,20 @@ class ScenarioBatch:
         The scenarios; at least one is required (the battery hand-off
         needs a non-empty batch — for a pure simulation sweep that may
         be empty, call :func:`repro.sim.vector.run_vectorized`).
-    engine:
-        ``"scalar"`` (default) runs each scenario through
-        :meth:`Simulator.run`; ``"vector"`` routes the batch through
-        the struct-of-arrays :class:`~repro.sim.vector.VectorEngine`,
-        which advances all array-expressible scenarios lock-step —
-        the full Table 2 grid, stochastic hash-keyed actuals
-        included — and falls back per scenario to the scalar engine
-        for anything it cannot express (phases, call-order-dependent
-        providers, subclassed components) — results are identical
-        either way.
+
+    The batch always drives the struct-of-arrays
+    :class:`~repro.sim.vector.VectorEngine`, which advances every
+    array-expressible scenario lock-step — the full Table 2 grid,
+    stochastic hash-keyed actuals included — and falls back per
+    scenario to the scalar engine for anything it cannot express
+    (phases, call-order-dependent providers, subclassed components);
+    results are identical either way.
     """
 
-    def __init__(
-        self,
-        items: Sequence[BatchItem],
-        *,
-        engine: str = "scalar",
-    ) -> None:
+    def __init__(self, items: Sequence[BatchItem]) -> None:
         self.items: List[BatchItem] = list(items)
         if not self.items:
             raise SchedulingError("a scenario batch needs >= 1 item")
-        if engine not in ("scalar", "vector"):
-            raise SchedulingError(
-                f"engine must be 'scalar' or 'vector', got {engine!r}"
-            )
-        self.engine = engine
         #: Telemetry from the most recent :meth:`run`:
         #: ``numeric_demotions`` counts scenarios (or battery loads)
         #: whose fast-path output contained NaN/inf and was recomputed
@@ -115,34 +103,23 @@ class ScenarioBatch:
     def run(
         self,
         *,
-        fast: bool = True,
         max_time: float = 1e7,
         battery_fast: bool = True,
     ) -> List[BatchOutcome]:
         """Run every scenario; outcomes come back in item order.
 
-        ``fast`` enables the engine's steady-state fast-forward (safe:
-        it degrades to the naive event loop whenever it cannot be
-        exact); ``max_time`` and ``battery_fast`` are forwarded to the
-        battery evaluation and match
+        ``max_time`` and ``battery_fast`` are forwarded to the battery
+        evaluation and match
         :func:`~repro.analysis.lifetime.evaluate_lifetime` defaults.
         """
+        vec = VectorEngine(
+            [(item.simulator, item.horizon) for item in self.items]
+        )
+        results = vec.run()
         stats: Dict[str, int] = {
-            "numeric_demotions": 0,
-            "vector_fallbacks": 0,
+            "numeric_demotions": vec.numeric_demotions,
+            "vector_fallbacks": vec.n_fallback,
         }
-        if self.engine == "vector":
-            vec = VectorEngine(
-                [(item.simulator, item.horizon) for item in self.items]
-            )
-            results = vec.run(fast=fast)
-            stats["numeric_demotions"] += vec.numeric_demotions
-            stats["vector_fallbacks"] = vec.n_fallback
-        else:
-            results = [
-                item.simulator.run(item.horizon, fast=fast)
-                for item in self.items
-            ]
         profiles = [res.profile() for res in results]
         loads = []
         load_pos: List[int] = []

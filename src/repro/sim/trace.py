@@ -232,53 +232,6 @@ class ExecutionTrace:
         if self._cache:
             self._cache.clear()
 
-    def extend_tiled(
-        self, first: int, copies: int, period: float
-    ) -> None:
-        """Append ``copies`` time-shifted repetitions of segments
-        ``[first:]`` — the steady-state fast-forward primitive.
-
-        The block starting at index ``first`` (one detected hyperperiod
-        cycle) is replicated with starts shifted by ``m * period``;
-        durations, speeds, operating points, currents and labels are
-        copied bitwise, so every derived reduction (charge, energy,
-        busy time, label runs) is exactly what re-simulating the
-        repeated cycle would have recorded.
-        """
-        if copies < 1:
-            return
-        count = self._n - first
-        if count <= 0:
-            raise ProfileError(
-                f"cannot tile: no segments at or after index {first}"
-            )
-        if period <= 0:
-            raise ProfileError(
-                f"tile period must be > 0, got {period}"
-            )
-        starts = self._start[first:self._n].copy()
-        durs = self._duration[first:self._n].copy()
-        speeds = self._speed[first:self._n].copy()
-        volts = self._voltage[first:self._n].copy()
-        currents = self._current[first:self._n].copy()
-        labels = self._label_id[first:self._n].copy()
-        total = copies * count
-        while self._start.size < self._n + total:
-            self._grow()
-        n = self._n
-        shifts = period * np.arange(1, copies + 1)
-        self._start[n:n + total] = (
-            starts[None, :] + shifts[:, None]
-        ).ravel()
-        self._duration[n:n + total] = np.tile(durs, copies)
-        self._speed[n:n + total] = np.tile(speeds, copies)
-        self._voltage[n:n + total] = np.tile(volts, copies)
-        self._current[n:n + total] = np.tile(currents, copies)
-        self._label_id[n:n + total] = np.tile(labels, copies)
-        self._n = n + total
-        if self._cache:
-            self._cache.clear()
-
     # -- columnar views ------------------------------------------------
     @property
     def starts(self) -> np.ndarray:

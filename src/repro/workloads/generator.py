@@ -185,9 +185,8 @@ class UniformActuals:
         """Whether draws are independent of ``job_index``.
 
         Only true for the degenerate ``low == high`` provider (every
-        job gets ``low * wcet`` exactly); the genuinely stochastic
-        workload opts out of the engine's steady-state fast path,
-        which may only tile cycles whose per-job actuals repeat.
+        job gets ``low * wcet`` exactly); the vector engine then
+        compiles the actuals along a length-1 job axis.
         """
         return self.low == self.high
 

@@ -60,7 +60,6 @@ def _small_set():
 def _run(
     scenario: str,
     *,
-    fast: bool = False,
     horizon: float = HORIZON,
     on_miss: str = "raise",
 ):
@@ -86,7 +85,7 @@ def _run(
         SchedulingPolicy(LTF(), MOST_IMMINENT),
         on_miss=on_miss,
     )
-    return sim.run(horizon, fast=fast)
+    return sim.run(horizon)
 
 
 def _trace_json(result) -> dict:
@@ -113,12 +112,11 @@ def _golden_path(scenario: str) -> Path:
     return GOLDEN_DIR / f"{scenario}_small_set.json"
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["naive", "fast"])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 class TestGoldenTraces:
-    def test_segment_exact_equality(self, scenario, fast):
+    def test_segment_exact_equality(self, scenario):
         golden = json.loads(_golden_path(scenario).read_text())
-        actual = _trace_json(_run(scenario, fast=fast))
+        actual = _trace_json(_run(scenario))
         assert len(actual["segments"]) == len(golden["segments"])
         for k, (got, want) in enumerate(
             zip(actual["segments"], golden["segments"])
@@ -130,14 +128,14 @@ class TestGoldenTraces:
                 f" want: {want}"
             )
 
-    def test_summary_scalars_exact(self, scenario, fast):
+    def test_summary_scalars_exact(self, scenario):
         golden = json.loads(_golden_path(scenario).read_text())
-        result = _run(scenario, fast=fast)
+        result = _run(scenario)
         assert result.energy == golden["energy_j"]
         assert result.charge == golden["charge_c"]
         assert result.horizon == golden["horizon"]
 
-    def test_schedules_differ_between_dvs(self, scenario, fast):
+    def test_schedules_differ_between_dvs(self, scenario):
         """Sanity: no fixture accidentally equals another (the test
         would then not pin the DVS algorithm at all) — except the one
         *known* coincidence checked separately below."""
@@ -152,22 +150,16 @@ class TestGoldenTraces:
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_tiled_prefix_matches_golden(scenario):
-    """A long fast-forwarded run's first hyperperiod is byte-identical
-    to the golden fixture — tiling reproduces the pinned schedule."""
+def test_long_run_prefix_matches_golden(scenario):
+    """A four-hyperperiod run's first hyperperiod is byte-identical to
+    the golden fixture — a longer horizon never perturbs the pinned
+    schedule."""
     golden = json.loads(_golden_path(scenario).read_text())
     # laEDF misses under sustained worst-case actuals (its documented
-    # look-ahead overcommitment), so record misses instead of raising;
-    # its growing backlog also means its cycle never converges, which
-    # must fall back to the naive loop rather than tile wrongly.
-    result = _run(
-        scenario, fast=True, horizon=4 * HORIZON, on_miss="record"
-    )
+    # look-ahead overcommitment), so record misses instead of raising.
+    result = _run(scenario, horizon=4 * HORIZON, on_miss="record")
     if scenario == "laedf":
         assert result.misses
-        assert result.tiled_cycles == 0
-    else:
-        assert result.tiled_cycles > 0
     actual = _trace_json(result)
     prefix = actual["segments"][: len(golden["segments"])]
     assert prefix == golden["segments"]

@@ -8,14 +8,14 @@ misses, same release instants.  These tests pin that contract:
 * every array-expressible configuration (NoDVS/static/ccEDF/laEDF over
   random/LTF/STF/pUBS priorities, either ready list, feasibility on or
   off, job-invariant or job-keyed stochastic actuals — the full Table 2
-  grid) produces byte-for-byte the scalar result, under both ``fast``
-  settings and with steady-state tiling engaged;
+  grid) produces byte-for-byte the scalar result, at short and long
+  horizons;
 * everything else (subclassed components, phases, call-order-dependent
   actuals providers, custom estimators) falls back per scenario to
   the scalar engine — opportunistically, inside a mixed batch;
-* the batch/campaign wiring (``ScenarioBatch(engine="vector")``,
-  ``run_scenario_batch(sim_vector=True)``) changes how work is driven,
-  never what it produces.
+* the batch/campaign wiring (:class:`ScenarioBatch`,
+  :func:`run_scenario_batch`, ``CampaignRunner(sim_vector=True)``)
+  changes how work is driven, never what it produces.
 """
 
 import numpy as np
@@ -37,7 +37,6 @@ from repro.dvs.static import StaticUtilization
 from repro.errors import DeadlineMissError, SchedulingError
 from repro.sim import BatchItem, ScenarioBatch, VectorEngine, run_vectorized
 from repro.sim.engine import Simulator
-from repro.sim.trace import ExecutionTrace
 from repro.sim.vector import unsupported_reason
 from repro.taskgraph.graph import TaskGraph, TaskNode
 from repro.taskgraph.periodic import PeriodicTaskGraph, TaskGraphSet
@@ -165,16 +164,18 @@ class TestVectorEquivalence:
         [c[1] for c in VECTOR_CONFIGS],
         ids=[c[0] for c in VECTOR_CONFIGS],
     )
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_harmonic_set_bitwise(self, proc, config, fast):
+    @pytest.mark.parametrize("long_horizon", [False, True])
+    def test_harmonic_set_bitwise(self, proc, config, long_horizon):
+        """4 hyperperiods, or 20 of a cycle that converges early: the
+        vector engine simulates every one and stays bitwise equal."""
         ts = harmonic_set()
-        horizon = 4 * ts.hyperperiod()
+        horizon = (20 if long_horizon else 4) * ts.hyperperiod()
         dvs, prio = config()
         sim = build(proc, ts, dvs, prio)
         assert unsupported_reason(sim, horizon) is None
-        vec = run_vectorized([(sim, horizon)], fast=fast)[0]
+        vec = run_vectorized([(sim, horizon)])[0]
         dvs2, prio2 = config()
-        scalar = build(proc, ts, dvs2, prio2).run(horizon, fast=fast)
+        scalar = build(proc, ts, dvs2, prio2).run(horizon)
         assert_bitwise(vec, scalar)
 
     @settings(max_examples=10, deadline=None)
@@ -209,8 +210,8 @@ class TestVectorEquivalence:
             )
 
         assert unsupported_reason(sim(), horizon) is None
-        vec = run_vectorized([(sim(), horizon)], fast=True)[0]
-        assert_bitwise(vec, sim().run(horizon, fast=True))
+        vec = run_vectorized([(sim(), horizon)])[0]
+        assert_bitwise(vec, sim().run(horizon))
 
     def test_many_scenarios_lock_step(self, proc):
         """A heterogeneous batch (different task sets, DVS kinds and
@@ -233,29 +234,15 @@ class TestVectorEquivalence:
                 )
             return out
 
-        vres = run_vectorized(scenarios(), fast=True)
+        vres = run_vectorized(scenarios())
         for vec, (sim, h) in zip(vres, scenarios()):
-            assert_bitwise(vec, sim.run(h, fast=True))
-
-    def test_tiling_engages_and_matches(self, proc):
-        """At long horizons the vector engine tiles the converged cycle
-        exactly like the scalar fast path (same tiled_cycles, bitwise
-        trace)."""
-        ts = harmonic_set()
-        horizon = 20 * ts.hyperperiod()
-        sim = build(proc, ts, CcEDF(), LTF())
-        vec = run_vectorized([(sim, horizon)], fast=True)[0]
-        scalar = build(proc, ts, CcEDF(), LTF()).run(horizon, fast=True)
-        assert scalar.tiled_cycles > 0
-        assert vec.tiled_cycles == scalar.tiled_cycles
-        assert vec.fast_forwarded
-        assert_bitwise(vec, scalar)
+            assert_bitwise(vec, sim.run(h))
 
     def test_miss_recording_parity(self, proc):
         """Overload: the vector engine records the same misses (graph,
         job, deadline instant, detection instant) as the scalar loop."""
         sim = build(proc, overload_set(), NoDVS(), LTF())
-        vec = run_vectorized([(sim, 40.0)], fast=False)[0]
+        vec = run_vectorized([(sim, 40.0)])[0]
         scalar = build(proc, overload_set(), NoDVS(), LTF()).run(40.0)
         assert len(vec.misses) == 3
         assert_bitwise(vec, scalar)
@@ -317,8 +304,8 @@ class TestWideEquivalence:
             )
 
         assert unsupported_reason(sim(), horizon) is None
-        vec = run_vectorized([(sim(), horizon)], fast=True)[0]
-        assert_bitwise(vec, sim().run(horizon, fast=True))
+        vec = run_vectorized([(sim(), horizon)])[0]
+        assert_bitwise(vec, sim().run(horizon))
 
     def test_feasibility_rejections_bitwise(self, proc):
         """A ready list where LTF's favourite candidate genuinely fails
@@ -359,11 +346,11 @@ class TestWideEquivalence:
 
         methodology.feasibility_check = spy
         try:
-            scalar = sim().run(80.0, fast=True)
+            scalar = sim().run(80.0)
         finally:
             methodology.feasibility_check = orig
         assert rejections[0] > 0  # the guard actually bites here
-        vec = run_vectorized([(sim(), 80.0)], fast=True)[0]
+        vec = run_vectorized([(sim(), 80.0)])[0]
         assert_bitwise(vec, scalar)
 
     def test_paper_scheme_grid_fully_vectorized(self, proc):
@@ -393,8 +380,8 @@ class TestWideEquivalence:
         eng = VectorEngine(scens())
         assert eng.n_fallback == 0
         assert eng.fallback_reasons == [None] * 5
-        for vec, (sim, h) in zip(eng.run(fast=True), scens()):
-            assert_bitwise(vec, sim.run(h, fast=True))
+        for vec, (sim, h) in zip(eng.run(), scens()):
+            assert_bitwise(vec, sim.run(h))
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -423,8 +410,8 @@ class TestWideEquivalence:
             return self._sim(proc, ts, WIDE_CONFIGS[config][1], actuals)
 
         assert unsupported_reason(sim(), horizon) is None
-        vec = run_vectorized([(sim(), horizon)], fast=True)[0]
-        assert_bitwise(vec, sim().run(horizon, fast=True))
+        vec = run_vectorized([(sim(), horizon)])[0]
+        assert_bitwise(vec, sim().run(horizon))
 
 
 class TestFallback:
@@ -544,9 +531,9 @@ class TestFallback:
         assert [r is None for r in eng.fallback_reasons] == [
             True, False, False, True
         ]
-        vres = eng.run(fast=True)
+        vres = eng.run()
         for vec, (sim, h) in zip(vres, scens()):
-            assert_bitwise(vec, sim.run(h, fast=True))
+            assert_bitwise(vec, sim.run(h))
 
 
 class TestShapeAndWiring:
@@ -557,16 +544,10 @@ class TestShapeAndWiring:
         with pytest.raises(SchedulingError):
             ScenarioBatch([])
 
-    def test_unknown_engine_rejected(self, proc):
-        item = BatchItem(
-            build(proc, harmonic_set(), NoDVS(), LTF()), 40.0
-        )
-        with pytest.raises(SchedulingError):
-            ScenarioBatch([item], engine="turbo")
-
     def test_batch_engines_agree(self, proc):
-        """ScenarioBatch(engine='vector') == engine='scalar' end to
-        end, including the battery hand-off."""
+        """ScenarioBatch (vector engine) == a per-item scalar
+        pipeline end to end, including the battery hand-off."""
+        from repro.analysis.lifetime import evaluate_lifetime
         from repro.battery.kibam import KiBaM
 
         def items():
@@ -581,45 +562,22 @@ class TestShapeAndWiring:
                 ),
             ]
 
-        scalar = ScenarioBatch(items(), engine="scalar").run()
-        vector = ScenarioBatch(items(), engine="vector").run()
-        for s, v in zip(scalar, vector):
-            assert_bitwise(v.result, s.result)
+        vector = ScenarioBatch(items()).run()
+        for item, v in zip(items(), vector):
+            s = item.simulator.run(item.horizon)
+            assert_bitwise(v.result, s)
+            profile = s.profile()
             np.testing.assert_array_equal(
-                v.profile.durations, s.profile.durations
+                v.profile.durations, profile.durations
             )
             np.testing.assert_array_equal(
-                v.profile.currents, s.profile.currents
+                v.profile.currents, profile.currents
             )
-            if s.battery_run is None:
+            if item.battery is None:
                 assert v.battery_run is None
             else:
-                assert v.battery_run.lifetime == s.battery_run.lifetime
-
-    def test_vector_trace_supports_further_tiling(self, proc):
-        """A trace handed off from the vector engine is a first-class
-        ExecutionTrace: its columns can seed a new trace and be tiled
-        onward (the fast-forward primitive) without corruption."""
-        ts = harmonic_set()
-        hyper = ts.hyperperiod()
-        sim = build(proc, ts, CcEDF(), LTF())
-        vec = run_vectorized([(sim, 20 * hyper)], fast=True)[0]
-        assert vec.tiled_cycles > 0
-        src = vec.trace
-        clone = ExecutionTrace()
-        clone.extend_columns(
-            src.starts, src.durations, src.speeds, src.voltages,
-            src.currents, src.label_ids, list(src._names),
-        )
-        n = len(clone)
-        clone.extend_tiled(0, 1, src.end_time)
-        assert len(clone) == 2 * n
-        np.testing.assert_array_equal(
-            clone.starts[n:], src.starts + src.end_time
-        )
-        np.testing.assert_array_equal(clone.durations[n:], src.durations)
-        assert clone.charge() == pytest.approx(2 * src.charge(), rel=1e-12)
-
+                ref = evaluate_lifetime(s, item.battery).run
+                assert v.battery_run.lifetime == ref.lifetime
 
 class TestCampaignWiring:
     def _specs(self):
@@ -640,43 +598,32 @@ class TestCampaignWiring:
         ]
 
     def test_run_scenario_batch_vector_identical(self):
-        from repro.campaign.runner import run_scenario_batch
+        from repro.campaign.runner import run_scenario_batch, run_spec
 
         items = list(enumerate(self._specs()))
-        scalar = run_scenario_batch(items, fast_sim=True)
-        vector = run_scenario_batch(items, fast_sim=True, sim_vector=True)
-        assert [i for i, _ in scalar] == [i for i, _ in vector]
-        for (_, s), (_, v) in zip(scalar, vector):
+        vector = run_scenario_batch(items)
+        assert [i for i, _ in vector] == [i for i, _ in items]
+        for (_, spec), (_, v) in zip(items, vector):
+            s = run_spec(spec)
             assert set(s.metrics) == set(v.metrics)
             for key, val in s.metrics.items():
                 assert v.metrics[key] == val, key  # bitwise
 
-    def test_batch_worker_accepts_legacy_payload(self):
-        from repro.campaign.runner import _batch_worker
+    def test_batch_worker_returns_pairs_and_stats(self):
+        from repro.campaign.runner import _batch_worker, run_spec
 
-        items = list(enumerate(self._specs()[:2]))
-        legacy = _batch_worker((tuple(items), True))
-        current = _batch_worker((tuple(items), True, False))
-        for (_, a), (_, b) in zip(legacy, current):
-            assert a.metrics == b.metrics
-
-    def test_runner_vector_defaults_to_large_sim_batch(self):
-        from repro.campaign.runner import CampaignRunner
-
-        auto = CampaignRunner(sim_vector=True)
-        assert auto.sim_vector and auto.sim_batch == 256
-        pinned = CampaignRunner(sim_vector=True, sim_batch=8)
-        assert pinned.sim_batch == 8
-        off = CampaignRunner()
-        assert not off.sim_vector and off.sim_batch == 1
+        items = tuple(enumerate(self._specs()[:2]))
+        pairs, stats = _batch_worker(items)
+        assert stats["vector_fallbacks"] == 0
+        for (index, spec), (got_index, got) in zip(items, pairs):
+            assert got_index == index
+            assert got.metrics == run_spec(spec).metrics
 
     def test_runner_end_to_end_identity(self):
         from repro.campaign.runner import CampaignRunner
 
         specs = self._specs()
-        scalar = CampaignRunner(fast_sim=True).run(specs)
-        vector = CampaignRunner(
-            fast_sim=True, sim_vector=True, sim_batch=4
-        ).run(specs)
+        scalar = CampaignRunner().run(specs)
+        vector = CampaignRunner(sim_vector=True).run(specs)
         for s, v in zip(scalar.results, vector.results):
             assert s.metrics == v.metrics
