@@ -88,20 +88,6 @@ class TestSelfHealing:
         assert again.executed == 1
 
 
-#: Fixed 0.5 actuals over 20 hyperperiods (40 s each): the converged
-#: deterministic regime where an approximate execution path would
-#: show up as dust-different charge/energy bits.
-PURITY_SPECS = [
-    ScenarioSpec(
-        scheme=scheme, n_graphs=2, seed=seed, actual_low=0.5,
-        actual_high=0.5, horizon=20 * 40.0, battery=battery,
-    )
-    for scheme, seed, battery in (
-        ("BAS-1", 1, None), ("BAS-2", 4, "kibam"), ("ccEDF", 5, None),
-    )
-]
-
-
 class TestCachePurity:
     """The cache is keyed on spec content only, so every execution path
     that writes it must store exactly what the default path computes."""
@@ -114,9 +100,11 @@ class TestCachePurity:
         ],
         ids=["default", "vector"],
     )
-    def test_cached_metrics_equal_fresh_run_spec(self, tmp_path, make_runner):
-        make_runner(ResultCache(tmp_path)).run(PURITY_SPECS)
-        served = CampaignRunner(cache=ResultCache(tmp_path)).run(PURITY_SPECS)
-        assert served.cache_hits == len(PURITY_SPECS)
-        for result, spec in zip(served.results, PURITY_SPECS):
+    def test_cached_metrics_equal_fresh_run_spec(
+        self, tmp_path, make_runner, long_specs
+    ):
+        make_runner(ResultCache(tmp_path)).run(long_specs)
+        served = CampaignRunner(cache=ResultCache(tmp_path)).run(long_specs)
+        assert served.cache_hits == len(long_specs)
+        for result, spec in zip(served.results, long_specs):
             assert result.metrics == run_spec(spec).metrics  # bitwise

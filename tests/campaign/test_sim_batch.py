@@ -1,5 +1,6 @@
 """Campaign-level vector batching: bitwise metric identity."""
 
+import repro.campaign.runner
 from repro.campaign import (
     CampaignRunner,
     ScenarioSpec,
@@ -12,19 +13,6 @@ SPECS = [
     ScenarioSpec(scheme="BAS-1", n_graphs=2, seed=3),
     ScenarioSpec(scheme="ccEDF", n_graphs=2, seed=4, battery="kibam"),
     ScenarioSpec(scheme="EDF", n_graphs=2, seed=5),
-]
-
-#: Fixed 0.5 actuals over 20 hyperperiods (every task set here has a
-#: 40 s hyperperiod): a long converged deterministic cycle, where any
-#: path that shortcuts the event loop shows up as dust-different bits.
-LONG_SPECS = [
-    ScenarioSpec(
-        scheme=scheme, n_graphs=2, seed=seed, actual_low=0.5,
-        actual_high=0.5, horizon=20 * 40.0, battery=battery,
-    )
-    for scheme, seed, battery in (
-        ("BAS-1", 1, None), ("BAS-2", 4, "kibam"), ("ccEDF", 5, None),
-    )
 ]
 
 
@@ -40,14 +28,16 @@ class TestRunScenarioBatch:
         for (index, result), spec in zip(got, SPECS):
             assert_metrics_equal(result, run_spec(spec))
 
-    def test_long_horizon_batch_bitwise_equals_run_spec(self):
-        got = run_scenario_batch(list(enumerate(LONG_SPECS)))
-        for (index, result), spec in zip(got, LONG_SPECS):
+    def test_long_horizon_batch_bitwise_equals_run_spec(self, long_specs):
+        got = run_scenario_batch(list(enumerate(long_specs)))
+        for (index, result), spec in zip(got, long_specs):
             assert_metrics_equal(result, run_spec(spec))
 
 
 class TestRunnerBatching:
-    def test_vector_runner_matches_default(self):
+    def test_vector_runner_matches_default(self, monkeypatch):
+        # Width 2 splits the 3 specs into two payloads.
+        monkeypatch.setattr(repro.campaign.runner, "_VECTOR_BATCH", 2)
         batched = CampaignRunner(sim_vector=True).run(SPECS)
         plain = CampaignRunner().run(SPECS)
         assert len(batched.results) == len(plain.results)
@@ -61,9 +51,12 @@ class TestRunnerBatching:
             assert result.spec == spec
             assert_metrics_equal(result, run_spec(spec))
 
-    def test_parallel_batched_matches_sequential(self):
+    def test_parallel_batched_matches_sequential(self, monkeypatch):
+        # Width 2 gives two payloads, one per worker.
+        monkeypatch.setattr(repro.campaign.runner, "_VECTOR_BATCH", 2)
         seq = CampaignRunner(sim_vector=True).run(SPECS)
         par = CampaignRunner(n_workers=2, sim_vector=True).run(SPECS)
+        assert [r.spec for r in par.results] == SPECS
         for a, b in zip(seq.results, par.results):
             assert a.spec == b.spec
             assert_metrics_equal(a, b)

@@ -413,6 +413,10 @@ class TestWideEquivalence:
         vec = run_vectorized([(sim(), horizon)])[0]
         assert_bitwise(vec, sim().run(horizon))
 
+    def test_degenerate_uniform_is_job_invariant(self):
+        assert UniformActuals(low=0.5, high=0.5, seed=0).job_invariant
+        assert not UniformActuals(low=0.4, high=0.6, seed=0).job_invariant
+
 
 class TestFallback:
     def test_subclassed_dvs_falls_back(self, proc):
@@ -578,6 +582,7 @@ class TestShapeAndWiring:
             else:
                 ref = evaluate_lifetime(s, item.battery).run
                 assert v.battery_run.lifetime == ref.lifetime
+
 
 class TestCampaignWiring:
     def _specs(self):
