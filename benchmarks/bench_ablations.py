@@ -12,17 +12,14 @@
 """
 
 from conftest import publish
-from repro.analysis.experiments import (
-    ablation_dvs,
-    ablation_estimator,
-    ablation_feasibility,
-    ablation_freqset,
-)
+from repro.api import plans
 
 
 def test_ablation_estimator(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: ablation_estimator(n_sets=3, n_graphs=4, seed=0),
+        lambda: plans.ablation_estimator_plan(n_sets=3, n_graphs=4, seed=0)
+        .run()
+        .adapted(),
         rounds=1,
         iterations=1,
     )
@@ -37,7 +34,9 @@ def test_ablation_estimator(benchmark, results_dir):
 
 def test_ablation_freqset(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: ablation_freqset(n_sets=3, n_graphs=4, seed=0),
+        lambda: plans.ablation_freqset_plan(n_sets=3, n_graphs=4, seed=0)
+        .run()
+        .adapted(),
         rounds=1,
         iterations=1,
     )
@@ -49,7 +48,9 @@ def test_ablation_freqset(benchmark, results_dir):
 
 def test_ablation_dvs(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: ablation_dvs(n_sets=3, n_graphs=4, seed=0),
+        lambda: plans.ablation_dvs_plan(n_sets=3, n_graphs=4, seed=0)
+        .run()
+        .adapted(),
         rounds=1,
         iterations=1,
     )
@@ -62,7 +63,9 @@ def test_ablation_dvs(benchmark, results_dir):
 
 def test_ablation_feasibility(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: ablation_feasibility(n_sets=6, n_graphs=4, seed=0),
+        lambda: plans.ablation_feasibility_plan(n_sets=6, n_graphs=4, seed=0)
+        .run()
+        .adapted(),
         rounds=1,
         iterations=1,
     )

@@ -17,17 +17,19 @@ above the floor so ordering differences are measurable.
 import numpy as np
 
 from conftest import publish
-from repro.analysis.experiments import fig6
+from repro.api import plans
 
 
 def test_fig6(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: fig6(
+        lambda: plans.fig6_plan(
             graph_counts=(2, 3, 4, 5, 6),
             sets_per_point=3,
             seed=0,
             utilization=0.85,
-        ),
+        )
+        .run()
+        .adapted(),
         rounds=1,
         iterations=1,
     )

@@ -11,18 +11,20 @@ ranking are what this bench asserts.
 import numpy as np
 
 from conftest import publish
-from repro.analysis.experiments import table1
+from repro.api import plans
 
 
 def test_table1(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: table1(
+        lambda: plans.table1_plan(
             sizes=tuple(range(5, 16)),
             graphs_per_size=3,
             seed=0,
             n_random=3,
             max_extensions=100_000,
-        ),
+        )
+        .run()
+        .adapted(),
         rounds=1,
         iterations=1,
     )

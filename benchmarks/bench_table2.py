@@ -15,12 +15,14 @@ BAS-over-laEDF margin compresses — see EXPERIMENTS.md.)
 """
 
 from conftest import publish
-from repro.analysis.experiments import table2
+from repro.api import plans
 
 
 def test_table2(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: table2(n_sets=8, n_graphs=5, seed=0),
+        lambda: plans.table2_plan(n_sets=8, n_graphs=5, seed=0)
+        .run()
+        .adapted(),
         rounds=1,
         iterations=1,
     )

@@ -26,17 +26,7 @@ Quickstart::
         print(scheme.name, f"{life.lifetime_minutes:.1f} min")
 """
 
-from .analysis import (
-    evaluate_lifetime,
-    fig4,
-    fig5,
-    fig6,
-    model_coherence,
-    rate_capacity,
-    run_scheme,
-    table1,
-    table2,
-)
+from .analysis import evaluate_lifetime, fig4, fig5, run_scheme
 from .battery import (
     DiffusionBattery,
     KiBaM,
@@ -170,13 +160,8 @@ __all__ = [
     # analysis
     "run_scheme",
     "evaluate_lifetime",
-    "table1",
-    "table2",
     "fig4",
     "fig5",
-    "fig6",
-    "rate_capacity",
-    "model_coherence",
     # errors
     "ReproError",
     "TaskGraphError",

@@ -95,10 +95,9 @@ def _driver_runner(args, cache=None):
 def _run_plan_cmd(args, builder, **kwargs) -> str:
     """Run a builtin study plan for a classic subcommand.
 
-    The plan's renderer reproduces the historical driver output
-    byte-for-byte; routing the CLI straight through the plan avoids
-    the deprecated shims (and their warnings, which CLI users could
-    do nothing about).
+    The plan's renderer prints the artifact's table or series, so
+    ``python -m repro table2`` and ``python -m repro study run
+    table2`` are two front doors to the same bytes.
     """
     runner = _driver_runner(args)
     try:
@@ -478,8 +477,8 @@ def _cmd_study_run(args) -> str:
     ``PLAN`` is a builtin plan name (see ``study plans``; scale
     overrides via repeatable ``--arg name=value``) or a path to a
     JSON plan file (``study export`` writes one).  ``--format
-    report`` prints the plan's rendered tables (builtin plans
-    reproduce the legacy driver output byte-for-byte), ``csv`` the
+    report`` prints the plan's rendered tables (builtin plans print
+    the same bytes as the artifact subcommands), ``csv`` the
     full typed result frame, ``json`` frame + execution telemetry.
     """
     from .api import Study
@@ -527,7 +526,7 @@ def _cmd_study_axes(args) -> str:
     from dataclasses import fields as dc_fields
 
     load_entry_points()
-    lines = ["Registered axes (repro.api.registry):"]
+    lines = ["Registered axes (repro.campaign.registry):"]
     for kind, names in known_names().items():
         lines.append(f"  {kind}: {', '.join(names)}")
     lines.append("")
@@ -557,7 +556,7 @@ def _cmd_study_export(args) -> str:
     """Write a builtin plan (with overrides) as a JSON plan file.
 
     The file round-trips through ``study run plan.json``: same sweep,
-    same seeds, same spec hashes — the legacy-output renderer is code
+    same seeds, same spec hashes — the artifact renderer is code
     and is not serialized, so a file-run prints the generic frame
     summary (or use ``--format csv``).
     """

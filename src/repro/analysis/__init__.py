@@ -1,27 +1,6 @@
-"""Analysis layer: battery-lifetime evaluation and experiment drivers."""
+"""Analysis layer: battery-lifetime evaluation and the worked examples."""
 
-from .experiments import (
-    AblationResult,
-    Fig4Result,
-    Fig5Result,
-    Fig6Result,
-    ModelCoherenceResult,
-    RateCapacityResult,
-    Table1Result,
-    Table2Result,
-    ablation_dvs,
-    ablation_estimator,
-    ablation_feasibility,
-    ablation_freqset,
-    fig4,
-    fig5,
-    fig6,
-    model_coherence,
-    rate_capacity,
-    run_scheme,
-    table1,
-    table2,
-)
+from .experiments import Fig4Result, Fig5Result, fig4, fig5, run_scheme
 from .lifetime import LifetimeReport, evaluate_lifetime
 from .tables import format_series, format_table
 
@@ -31,23 +10,8 @@ __all__ = [
     "format_table",
     "format_series",
     "run_scheme",
-    "table1",
-    "Table1Result",
-    "fig6",
-    "Fig6Result",
-    "table2",
-    "Table2Result",
     "fig4",
     "Fig4Result",
     "fig5",
     "Fig5Result",
-    "rate_capacity",
-    "RateCapacityResult",
-    "model_coherence",
-    "ModelCoherenceResult",
-    "ablation_estimator",
-    "ablation_freqset",
-    "ablation_dvs",
-    "ablation_feasibility",
-    "AblationResult",
 ]

@@ -1,59 +1,22 @@
-"""Legacy experiment drivers — thin deprecated shims over `repro.api`.
+"""Worked examples that are not sweeps, plus the one-window helper.
 
-Every sweep-shaped driver here (``table1``, ``table2``, ``fig6``,
-``model_coherence``, ``rate_capacity``, the four ablations) is now a
-~20-line declarative :class:`~repro.api.study.StudyPlan` built in
-:mod:`repro.api.plans`; these functions remain so existing callers,
-tests, and goldens keep working unchanged — same signatures, same
-result dataclasses (re-exported from :mod:`repro.api.results`), same
-numbers byte-for-byte — but they emit :class:`DeprecationWarning` and
-simply adapt the plan's :class:`~repro.api.frame.ResultFrame`.
-
-New code should use the API directly::
+``fig4`` and ``fig5`` reproduce the paper's two motivational traces
+(two fixed schedules each); there is nothing for a campaign to
+parallelize or cache, so they run directly.  Every sweep-shaped
+experiment — Tables 1-2, Figure 6, the rate-capacity and coherence
+sweeps, the ablations — is a builtin plan in :mod:`repro.api.plans`::
 
     from repro.api import Study, plans
     res = Study(plans.table2_plan(n_sets=100), workers=8).run()
-    table2_result = res.adapted()     # the Table2Result below
+    table2_result = res.adapted()     # the Table2Result dataclass
     res.frame.to_csv("table2.csv")    # or work with the typed frame
-
-``fig4`` and ``fig5`` are single worked examples (two fixed
-schedules each), not sweeps, and stay direct — there is nothing for a
-campaign to parallelize or cache.
-
-Campaign execution: pass ``workers=N`` for a multiprocessing pool, or
-a pre-built ``runner`` (cached local or distributed).  Results are
-bit-identical across worker counts and backends.
 """
 
 from __future__ import annotations
 
-import copy
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..api import plans
-from ..api.results import (
-    AblationResult,
-    Fig6Result,
-    ModelCoherenceResult,
-    RateCapacityResult,
-    Table1Result,
-    Table2Result,
-)
-from ..api.study import Study, StudyPlan
-from ..battery.base import BatteryModel
-from ..campaign.growth import SpecRunner
-from ..campaign.registry import (
-    estimator_name_for,
-    fresh_name,
-    register_battery,
-    register_estimator,
-    register_processor,
-    register_scheme,
-    unregister,
-)
-from ..core.estimator import Estimator, HistoryEstimator, OracleEstimator
 from ..core.methodology import Scheme, SchedulingPolicy
 from ..core.oneshot import run_one_shot
 from ..core.priority import LTF, STF, PriorityFunction
@@ -62,41 +25,11 @@ from ..dvs import CcEDF
 from ..processor.platform import Processor, paper_processor
 from ..sim.engine import SimulationResult, Simulator
 from ..workloads.presets import fig4_cases, fig4_pair, fig5_actuals, fig5_set
-from .lifetime import survival_scale
 from .tables import format_table
 
-__all__ = [
-    "run_scheme",
-    "table1",
-    "Table1Result",
-    "fig6",
-    "Fig6Result",
-    "table2",
-    "Table2Result",
-    "fig4",
-    "Fig4Result",
-    "fig5",
-    "Fig5Result",
-    "rate_capacity",
-    "RateCapacityResult",
-    "model_coherence",
-    "ModelCoherenceResult",
-    "survival_scale",
-    "ablation_estimator",
-    "ablation_freqset",
-    "ablation_dvs",
-    "ablation_feasibility",
-    "AblationResult",
-]
-
-#: Re-exported for backward compatibility (canonical home: api.plans).
-PAPER_SCHEME_NAMES = plans.PAPER_SCHEME_NAMES
-FIG6_SCHEME_NAMES = plans.FIG6_SCHEME_NAMES
+__all__ = ["run_scheme", "fig4", "Fig4Result", "fig5", "Fig5Result"]
 
 
-# ----------------------------------------------------------------------
-# Shared plumbing
-# ----------------------------------------------------------------------
 def run_scheme(
     scheme: Scheme,
     task_set,
@@ -112,185 +45,6 @@ def run_scheme(
         task_set, processor, dvs, policy, actuals=actuals, on_miss=on_miss
     )
     return sim.run(horizon)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.analysis.experiments.{old} is deprecated; use {new} "
-        "(see repro.api)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _processor_name(processor: Optional[Processor]) -> str:
-    """Registry name for an optional caller-supplied processor.
-
-    Ad-hoc processors are registered process-locally; parallel workers
-    see them via ``fork`` inheritance.  For spawn-safe custom entries,
-    register declaratively via :mod:`repro.api.registry` and pass the
-    name to the plan builder instead.
-    """
-    if processor is None:
-        return "paper"
-    return register_processor(
-        fresh_name("processor"), lambda p=processor, **_kw: p
-    )
-
-
-def _estimator_name(factory: Callable[[], Estimator]) -> str:
-    """Registry name for an estimator factory (registering if novel)."""
-    name = estimator_name_for(factory)
-    if name is not None:
-        return name
-    return register_estimator(fresh_name("estimator"), factory)
-
-
-def _run_plan(
-    plan: StudyPlan,
-    workers: int,
-    runner: Optional[SpecRunner],
-    ad_hoc_names: Sequence[str] = (),
-):
-    """Run a plan and adapt it to the legacy dataclass, then drop any
-    ad-hoc registry entries so repeated driver calls don't accumulate
-    factory closures."""
-    try:
-        return Study(plan, runner=runner, workers=workers).run().adapted()
-    finally:
-        for name in ad_hoc_names:
-            if name.startswith("@"):
-                unregister(name)
-
-
-# ----------------------------------------------------------------------
-# Table 1 — single-DAG energy vs exhaustive optimal
-# ----------------------------------------------------------------------
-def table1(
-    *,
-    sizes: Sequence[int] = tuple(range(5, 16)),
-    graphs_per_size: int = 5,
-    seed: int = 0,
-    processor: Optional[Processor] = None,
-    utilization: float = 1.0,
-    actual_range: Tuple[float, float] = (0.2, 1.0),
-    edge_prob: float = 0.4,
-    max_extensions: int = 200_000,
-    n_random: int = 5,
-    workers: int = 1,
-    runner: Optional[SpecRunner] = None,
-) -> Table1Result:
-    """Reproduce Table 1 (deprecated shim over
-    :func:`repro.api.plans.table1_plan`; see it for methodology)."""
-    _deprecated("table1", "plans.table1_plan")
-    proc_name = _processor_name(processor)
-    plan = plans.table1_plan(
-        sizes=sizes,
-        graphs_per_size=graphs_per_size,
-        seed=seed,
-        processor=proc_name,
-        utilization=utilization,
-        actual_range=actual_range,
-        edge_prob=edge_prob,
-        max_extensions=max_extensions,
-        n_random=n_random,
-    )
-    return _run_plan(plan, workers, runner, [proc_name])
-
-
-# ----------------------------------------------------------------------
-# Figure 6 — ordering schemes vs near-optimal, growing graph count
-# ----------------------------------------------------------------------
-def fig6(
-    *,
-    graph_counts: Sequence[int] = (2, 3, 4, 5, 6),
-    sets_per_point: int = 3,
-    seed: int = 0,
-    processor: Optional[Processor] = None,
-    utilization: float = 0.7,
-    horizon: Optional[float] = None,
-    estimator: Callable[[], Estimator] = OracleEstimator,
-    workers: int = 1,
-    runner: Optional[SpecRunner] = None,
-) -> Fig6Result:
-    """Reproduce Figure 6 (deprecated shim over
-    :func:`repro.api.plans.fig6_plan`; see it for methodology)."""
-    _deprecated("fig6", "plans.fig6_plan")
-    proc_name = _processor_name(processor)
-    est_name = _estimator_name(estimator)
-    plan = plans.fig6_plan(
-        graph_counts=graph_counts,
-        sets_per_point=sets_per_point,
-        seed=seed,
-        utilization=utilization,
-        horizon=horizon,
-        estimator=est_name,
-        processor=proc_name,
-    )
-    return _run_plan(plan, workers, runner, [proc_name, est_name])
-
-
-# ----------------------------------------------------------------------
-# Table 2 — charge delivered and battery lifetime per scheme
-# ----------------------------------------------------------------------
-def table2(
-    *,
-    n_sets: int = 5,
-    n_graphs: int = 4,
-    seed: int = 0,
-    processor: Optional[Processor] = None,
-    utilization: float = 0.7,
-    battery_factory: Optional[Callable[[int], BatteryModel]] = None,
-    rebin: Optional[float] = 1.0,
-    estimator_factory: Callable[[], Estimator] = HistoryEstimator,
-    schemes: Optional[Sequence[Scheme]] = None,
-    workers: int = 1,
-    runner: Optional[SpecRunner] = None,
-) -> Table2Result:
-    """Reproduce Table 2 (deprecated shim over
-    :func:`repro.api.plans.table2_plan`; see it for methodology)."""
-    _deprecated("table2", "plans.table2_plan")
-    proc_name = _processor_name(processor)
-    est_name = _estimator_name(estimator_factory)
-    battery_name = (
-        "stochastic"
-        if battery_factory is None
-        else register_battery(
-            fresh_name("battery"),
-            lambda s, _factory=battery_factory, **_kw: _factory(s),
-        )
-    )
-    if schemes is None:
-        scheme_names: Sequence[str] = plans.PAPER_SCHEME_NAMES
-        display: Optional[Dict[str, str]] = None
-    else:
-        # Caller-supplied Scheme objects: register each under a fresh
-        # name; the display name stays the scheme's own.
-        scheme_names = [
-            register_scheme(fresh_name("scheme"), lambda est, s=s: s)
-            for s in schemes
-        ]
-        display = {
-            reg: s.name for reg, s in zip(scheme_names, schemes)
-        }
-    plan = plans.table2_plan(
-        n_sets=n_sets,
-        n_graphs=n_graphs,
-        seed=seed,
-        utilization=utilization,
-        battery=battery_name,
-        rebin=rebin,
-        estimator=est_name,
-        schemes=scheme_names,
-        processor=proc_name,
-        display=display,
-    )
-    return _run_plan(
-        plan,
-        workers,
-        runner,
-        [proc_name, est_name, battery_name, *scheme_names],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -431,162 +185,3 @@ def fig5(*, processor: Optional[Processor] = None) -> Fig5Result:
         edf_misses=len(edf_res.misses),
         bas_misses=len(bas_res.misses),
     )
-
-
-# ----------------------------------------------------------------------
-# Figure 5 (battery) — load vs delivered capacity
-# ----------------------------------------------------------------------
-def rate_capacity(
-    *,
-    currents: Sequence[float] = (0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0),
-    models: Optional[Dict[str, BatteryModel]] = None,
-    workers: int = 1,
-    runner: Optional[SpecRunner] = None,
-) -> RateCapacityResult:
-    """Sweep constant loads through the calibrated cells (deprecated
-    shim over :func:`repro.api.plans.rate_capacity_plan`).
-
-    Now campaign-routed: each (model, current) probe is one cacheable
-    scenario, so the sweep gains ``workers=N``, the result cache, and
-    the distributed backend.  Each probe resolves a *fresh* cell
-    (caller-supplied models are deep-copied per probe), so a
-    stochastic model is seeded per probe (order-independent, the same
-    across worker counts) rather than carrying one RNG stream across
-    the whole sweep as the pre-campaign driver did — deliberate:
-    results no longer depend on which other currents are in the
-    sweep.
-    """
-    _deprecated("rate_capacity", "plans.rate_capacity_plan")
-    ad_hoc: list = []
-    if models is None:
-        model_names: Optional[Dict[str, str]] = None
-    else:
-        model_names = {}
-        for disp, cell in models.items():
-            name = register_battery(
-                fresh_name("battery"),
-                # Deep copy per resolve: every probe sees the cell
-                # exactly as the caller passed it (RNG state
-                # included), whichever worker executes it.
-                lambda seed, _c=cell, **_kw: copy.deepcopy(_c),
-            )
-            model_names[disp] = name
-            ad_hoc.append(name)
-    plan = plans.rate_capacity_plan(currents=currents, models=model_names)
-    return _run_plan(plan, workers, runner, ad_hoc)
-
-
-# ----------------------------------------------------------------------
-# Figures 2-3 — KiBaM vs diffusion coherence
-# ----------------------------------------------------------------------
-# survival_scale lives in repro.analysis.lifetime (imported above) so
-# the campaign executors can use it without a circular import; it stays
-# re-exported here for backward compatibility.
-
-
-def model_coherence(
-    *,
-    mean_current: float = 1.8,
-    fill: float = 0.75,
-    workers: int = 1,
-    runner: Optional[SpecRunner] = None,
-) -> ModelCoherenceResult:
-    """Guideline-1 coherence across battery models (deprecated shim
-    over :func:`repro.api.plans.model_coherence_plan`)."""
-    _deprecated("model_coherence", "plans.model_coherence_plan")
-    plan = plans.model_coherence_plan(
-        mean_current=mean_current, fill=fill
-    )
-    return _run_plan(plan, workers, runner)
-
-
-# ----------------------------------------------------------------------
-# Ablations
-# ----------------------------------------------------------------------
-def ablation_estimator(
-    *,
-    n_sets: int = 3,
-    n_graphs: int = 4,
-    seed: int = 0,
-    utilization: float = 0.9,
-    processor: Optional[Processor] = None,
-    workers: int = 1,
-    runner: Optional[SpecRunner] = None,
-) -> AblationResult:
-    """Estimate-accuracy ablation (deprecated shim over
-    :func:`repro.api.plans.ablation_estimator_plan`)."""
-    _deprecated("ablation_estimator", "plans.ablation_estimator_plan")
-    proc_name = _processor_name(processor)
-    plan = plans.ablation_estimator_plan(
-        n_sets=n_sets,
-        n_graphs=n_graphs,
-        seed=seed,
-        utilization=utilization,
-        processor=proc_name,
-    )
-    return _run_plan(plan, workers, runner, [proc_name])
-
-
-def ablation_freqset(
-    *,
-    n_sets: int = 3,
-    n_graphs: int = 4,
-    seed: int = 0,
-    workers: int = 1,
-    runner: Optional[SpecRunner] = None,
-) -> AblationResult:
-    """Frequency-table-granularity ablation (deprecated shim over
-    :func:`repro.api.plans.ablation_freqset_plan`)."""
-    _deprecated("ablation_freqset", "plans.ablation_freqset_plan")
-    plan = plans.ablation_freqset_plan(
-        n_sets=n_sets, n_graphs=n_graphs, seed=seed
-    )
-    return _run_plan(plan, workers, runner)
-
-
-def ablation_dvs(
-    *,
-    n_sets: int = 3,
-    n_graphs: int = 4,
-    seed: int = 0,
-    processor: Optional[Processor] = None,
-    workers: int = 1,
-    runner: Optional[SpecRunner] = None,
-) -> AblationResult:
-    """DVS × ready-list ablation (deprecated shim over
-    :func:`repro.api.plans.ablation_dvs_plan`)."""
-    _deprecated("ablation_dvs", "plans.ablation_dvs_plan")
-    proc_name = _processor_name(processor)
-    plan = plans.ablation_dvs_plan(
-        n_sets=n_sets, n_graphs=n_graphs, seed=seed, processor=proc_name
-    )
-    return _run_plan(plan, workers, runner, [proc_name])
-
-
-def ablation_feasibility(
-    *,
-    n_sets: int = 5,
-    n_graphs: int = 4,
-    seed: int = 0,
-    utilization: float = 0.92,
-    actual_range: Tuple[float, float] = (0.6, 1.0),
-    processor: Optional[Processor] = None,
-    workers: int = 1,
-    runner: Optional[SpecRunner] = None,
-) -> AblationResult:
-    """Feasibility-guard ablation (deprecated shim over
-    :func:`repro.api.plans.ablation_feasibility_plan`; see it for the
-    regime and the honesty note)."""
-    _deprecated(
-        "ablation_feasibility", "plans.ablation_feasibility_plan"
-    )
-    proc_name = _processor_name(processor)
-    plan = plans.ablation_feasibility_plan(
-        n_sets=n_sets,
-        n_graphs=n_graphs,
-        seed=seed,
-        utilization=utilization,
-        actual_range=actual_range,
-        processor=proc_name,
-    )
-    return _run_plan(plan, workers, runner, [proc_name])

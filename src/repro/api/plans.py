@@ -1,16 +1,17 @@
 """The paper's tables, figures, and ablations as declarative plans.
 
 Each builder returns a :class:`~repro.api.study.StudyPlan` whose
-sweep expands to *exactly* the spec list (same specs, same order) the
-legacy driver in :mod:`repro.analysis.experiments` built by hand — so
-results, cache hits, and formatted output are byte-identical between
-the two paths — plus an ``adapt`` hook producing the historical
-result dataclass and a ``render`` hook printing the paper's rows.
+sweep expands to a fixed spec list (same specs, same order, for the
+same arguments — so results, cache hits, and formatted output are
+byte-identical across runs and backends), plus an ``adapt`` hook
+producing the artifact's result dataclass
+(:mod:`repro.api.results`) and a ``render`` hook printing the paper's
+rows.
 
-Scale parameters mirror the legacy drivers (quick defaults; pass the
-paper's full scale when you have the minutes).  Builders accept
-registry *names* only — callers holding live factory objects register
-them first (see :mod:`repro.api.registry`).
+Scale parameters default to quick runs; pass the paper's full scale
+when you have the minutes.  Builders accept registry *names* only —
+callers holding live factory objects register them first (see
+:mod:`repro.campaign.registry`).
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 These are the stable, presentation-ready outcome types the builtin
 :mod:`repro.api.plans` adapt their
-:class:`~repro.api.frame.ResultFrame` into — and the return types of
-the legacy driver shims in :mod:`repro.analysis.experiments`, where
-they historically lived.  Each carries raw numbers plus a
-``format()`` method printing the same rows/series the paper reports.
+:class:`~repro.api.frame.ResultFrame` into
+(:meth:`~repro.api.study.StudyResult.adapted`).  Each carries raw
+numbers plus a ``format()`` method printing the same rows/series the
+paper reports.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from .registry import (
     install_plugins,
     known_names,
     known_schemes,
+    load_entry_points,
     plugin_snapshot,
     register_battery,
     register_estimator,
@@ -101,6 +102,7 @@ __all__ = [
     "is_spec",
     "known_names",
     "known_schemes",
+    "load_entry_points",
     "plugin_snapshot",
     "register_battery",
     "register_estimator",

@@ -65,7 +65,7 @@ __all__ = [
 SPEC_VERSION = 1
 
 #: Names starting with this mark process-local ad-hoc registry entries
-#: (see :func:`repro.campaign.registry.fresh_name`).
+#: (live callables registered under an ``@``-prefixed name).
 AD_HOC_PREFIX = "@"
 
 
@@ -76,8 +76,9 @@ class ScenarioSpec:
     Attributes
     ----------
     scheme:
-        Scheme name resolved via :data:`repro.campaign.registry.SCHEMES`
-        (e.g. ``"BAS-2"``), or the special ``"near-optimal"`` reference.
+        Scheme name resolved via
+        :func:`repro.campaign.registry.build_scheme` (e.g.
+        ``"BAS-2"``), or the special ``"near-optimal"`` reference.
     n_graphs, utilization, n_tasks_range, edge_prob, wcet_range:
         Task-set generator parameters (see
         :func:`repro.workloads.generator.paper_task_set`).
@@ -278,11 +279,11 @@ class ScenarioResult:
 def is_cacheable(spec: Spec) -> bool:
     """Whether ``spec`` may use the persistent on-disk cache.
 
-    Specs that reference ad-hoc registry names (``@``-prefixed, from
-    :func:`repro.campaign.registry.fresh_name`) are not cacheable: the
-    name → factory binding is process-local, so a cache entry written
-    by one session could silently answer for a *different* factory
-    registered under the same counter name in a later session.
+    Specs that reference ad-hoc registry names (``@``-prefixed live
+    registrations) are not cacheable: the name → factory binding is
+    process-local, so a cache entry written by one session could
+    silently answer for a *different* factory registered under the
+    same name in a later session.
     """
     fields = asdict(spec)
     return not any(

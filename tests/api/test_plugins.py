@@ -6,6 +6,7 @@ via the declarative API must run under ``n_workers > 1`` with the
 registration (fork inheritance only) could not work.
 """
 
+import functools
 import json
 import multiprocessing
 
@@ -62,6 +63,12 @@ class TestDeclarativeRegistration:
                 return make_scheme(
                     "nested", dvs=CcEDF, priority=LTF
                 )
+
+        # So must a partial, which has no importable qualified name.
+        with pytest.raises(SchedulingError, match="module-level"):
+            register_scheme("partial")(
+                functools.partial(plugin_mod.build_mybas, ready="all")
+            )
 
         decorated = register_scheme("decorated-ltf")(
             plugin_mod.build_mybas
@@ -120,6 +127,29 @@ class TestDeclarativeRegistration:
         with pytest.raises(SchedulingError, match="not valid JSON"):
             install_env_plugins()
 
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [1],
+            [{"kind": "scheme"}],
+            [{"kind": "scheme", "name": 3, "factory": "plugin_mod:x"}],
+            [
+                {
+                    "kind": "scheme",
+                    "name": "x",
+                    "factory": "plugin_mod:build_mybas",
+                    "kwargs": [1],
+                }
+            ],
+        ],
+    )
+    def test_malformed_env_records_rejected(self, records, monkeypatch):
+        monkeypatch.setenv(PLUGINS_ENV, json.dumps(records))
+        with pytest.raises(SchedulingError, match="plugin record"):
+            install_env_plugins()
+        with pytest.raises(SchedulingError, match="plugin record"):
+            install_plugins(records)
+
     def test_battery_plugin_kwargs_applied(self):
         name = register_battery(
             "tiny-cell-test", "plugin_mod:build_small_cell", capacity=90.0
@@ -131,6 +161,24 @@ class TestDeclarativeRegistration:
             assert cell.capacity == 90.0
         finally:
             unregister(name)
+
+
+class TestOneRegistry:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "register_scheme",
+            "register_battery",
+            "register_processor",
+            "register_estimator",
+            "unregister",
+        ],
+    )
+    def test_api_and_campaign_share_the_functions(self, name):
+        import repro.api
+        import repro.campaign
+
+        assert getattr(repro.api, name) is getattr(repro.campaign, name)
 
 
 class TestSpawnSafety:

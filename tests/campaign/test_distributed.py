@@ -6,7 +6,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.analysis.experiments import fig6, table2
+from repro.api import plans
 from repro.campaign import (
     CampaignRunner,
     ResultCache,
@@ -240,7 +240,7 @@ class TestDriverAcceptance:
 
     def test_table2_identical(self, tmp_path):
         kwargs = dict(n_sets=1, n_graphs=2, seed=0)
-        local = table2(**kwargs)
+        local = plans.table2_plan(**kwargs).run().adapted()
         runner = DistributedRunner(
             workdir=tmp_path,
             poll=0.01,
@@ -248,12 +248,12 @@ class TestDriverAcceptance:
             result_timeout=TIMEOUT,
         )
         with fleet(runner, run_directory_worker, (tmp_path,)):
-            dist = table2(**kwargs, runner=runner)
+            dist = plans.table2_plan(**kwargs).run(runner=runner).adapted()
         assert dist == local  # dataclass equality: every float bit-equal
 
     def test_fig6_identical(self, tmp_path):
         kwargs = dict(graph_counts=(2,), sets_per_point=1, seed=0)
-        local = fig6(**kwargs)
+        local = plans.fig6_plan(**kwargs).run().adapted()
         runner = DistributedRunner(
             workdir=tmp_path,
             poll=0.01,
@@ -261,5 +261,5 @@ class TestDriverAcceptance:
             result_timeout=TIMEOUT,
         )
         with fleet(runner, run_directory_worker, (tmp_path,)):
-            dist = fig6(**kwargs, runner=runner)
+            dist = plans.fig6_plan(**kwargs).run(runner=runner).adapted()
         assert dist == local

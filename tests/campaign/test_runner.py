@@ -94,6 +94,10 @@ class TestRegistry:
         assert cell is not None
         with pytest.raises(SchedulingError):
             resolve_processor("freqset:5")  # params must be k=v
+        with pytest.raises(SchedulingError, match="levels=x"):
+            resolve_processor("freqset:levels=x")  # v must be numeric
+        with pytest.raises(SchedulingError, match="noise=abc"):
+            resolve_battery("stochastic:noise=abc")
         with pytest.raises(SchedulingError):
             resolve_processor("freqset")  # levels is required
         with pytest.raises(SchedulingError):
@@ -101,35 +105,13 @@ class TestRegistry:
 
     def test_unregister_removes_ad_hoc_entries(self):
         from repro.campaign import register_battery, unregister
-        from repro.campaign.registry import fresh_name
 
-        name = register_battery(fresh_name("battery"), lambda seed: None)
+        name = register_battery("@battery/test", lambda seed: None)
         assert resolve_battery(name) is None
         unregister(name)
         with pytest.raises(SchedulingError):
             resolve_battery(name)
         unregister(name)  # idempotent no-op
-
-    def test_drivers_clean_up_ad_hoc_registrations(self):
-        from repro.analysis.experiments import table2
-        from repro.campaign import registry
-
-        def snapshot():
-            return {
-                n
-                for table in (
-                    registry._SCHEMES, registry._BATTERIES,
-                    registry._PROCESSORS, registry.ESTIMATORS,
-                )
-                for n in table
-                if n.startswith("@")
-            }
-
-        before = snapshot()
-        from repro.processor.platform import paper_processor
-
-        table2(n_sets=1, n_graphs=2, seed=0, processor=paper_processor())
-        assert snapshot() == before  # no leaked closures
 
     def test_all_builtin_schemes_build(self):
         est = resolve_estimator("history")
@@ -196,11 +178,9 @@ class TestCache:
 
     def test_ad_hoc_specs_bypass_the_cache(self, tmp_path):
         from repro.campaign import build_scheme, register_scheme, unregister
-        from repro.campaign.registry import fresh_name
 
         name = register_scheme(
-            fresh_name("scheme"),
-            lambda est: build_scheme("EDF", est),
+            "@scheme/test", lambda est: build_scheme("EDF", est)
         )
         try:
             cache = ResultCache(tmp_path)
@@ -208,7 +188,7 @@ class TestCache:
             first = CampaignRunner(1, cache=cache).run(specs)
             second = CampaignRunner(1, cache=cache).run(specs)
             # Never stored, never served: a later process could bind
-            # the same counter name to a different factory.
+            # the same '@' name to a different factory.
             assert len(cache) == 0
             assert first.cache_hits == 0 and second.cache_hits == 0
             assert second.results == first.results
