@@ -598,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--spec-timeout", type=float, default=None,
             help="per-spec execution deadline in seconds; a timeout "
-            "counts as a retryable failure",
+            "is charged to the spec's retry budget",
         )
         p.add_argument(
             "--on-error", choices=("raise", "quarantine"),

@@ -3,13 +3,15 @@
 A broker owns one campaign at a time: :meth:`submit` publishes the
 ``(index, spec)`` work units, :meth:`outcomes` blocks yielding
 ``(index, ScenarioResult)`` pairs as workers finish — deduplicated by
-index, with lost leases requeued — until every unit is resolved.  By
-default a worker-reported execution error fails the campaign
-immediately; with a retry budget (``max_retries``) the spec is
-republished after a deterministic backoff, and under
-``on_error="quarantine"`` a spec that exhausts its budget is recorded
-in the broker's :class:`~repro.campaign.failures.FailureReport` and
-the campaign completes without it.
+index, with lost leases requeued — until every unit is resolved.  A
+worker-reported execution error is charged to the broker's
+:class:`~repro.campaign.failures.RetryPolicy`, the same one the local
+runner uses: within budget (``max_retries``) the spec is republished
+after a deterministic backoff; once the budget is spent it either
+fails the campaign with a :class:`~repro.errors.SpecFailure` (the
+default) or, under ``on_error="quarantine"``, is recorded in the
+policy's :class:`~repro.campaign.failures.FailureReport` and the
+campaign completes without it.
 
 Fault tolerance:
 
@@ -57,13 +59,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 from ... import faults
 from ...errors import SchedulingError, SpecTimeout
 from ...locks import assert_held, contract_lock
-from ..failures import (
-    FailureInfo,
-    FailureReport,
-    QuarantinedSpec,
-    backoff_delay,
-    validate_on_error,
-)
+from ..failures import FailureInfo, FailureReport, RetryPolicy
 from ..spec import ScenarioResult, Spec, content_hash
 from .protocol import (
     PROTOCOL_VERSION,
@@ -114,33 +110,18 @@ class _BrokerBase:
         max_retries: int = 0,
         on_error: str = "raise",
         spec_timeout: Optional[float] = None,
-        backoff_base: float = 0.05,
         health_threshold: Optional[int] = None,
     ):
         if poll <= 0:
             raise SchedulingError(f"poll must be > 0, got {poll}")
-        if max_retries < 0:
-            raise SchedulingError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        if spec_timeout is not None and spec_timeout <= 0:
-            raise SchedulingError(
-                f"spec_timeout must be positive, got {spec_timeout}"
-            )
         if health_threshold is not None and health_threshold < 1:
             raise SchedulingError(
                 f"health_threshold must be >= 1, got {health_threshold}"
             )
-        validate_on_error(on_error)
+        self.policy = RetryPolicy(max_retries, on_error, spec_timeout)
         self.poll = float(poll)
         self.result_timeout = result_timeout
         self.ledger_path = ledger_path
-        self.max_retries = int(max_retries)
-        self.on_error = on_error
-        self.spec_timeout = (
-            float(spec_timeout) if spec_timeout is not None else None
-        )
-        self.backoff_base = float(backoff_base)
         self.health_threshold = health_threshold
         self.job: Optional[str] = None
         self.requeued_total = 0
@@ -148,9 +129,7 @@ class _BrokerBase:
         self._resolved: Set[int] = set()
         self._replayed: List[Tuple[int, ScenarioResult]] = []
         self._items: Dict[int, Spec] = {}
-        self._attempts: Dict[int, int] = {}
         self._retry_due: List[Tuple[float, int]] = []
-        self.failure_report = FailureReport()
         self._health: Dict[str, int] = {}
         self.retired_workers: Set[str] = set()
 
@@ -188,9 +167,8 @@ class _BrokerBase:
         self._replayed = []
         self.requeued_total = 0
         self._items = {int(i): spec for i, spec in items}
-        self._attempts = {}
         self._retry_due = []
-        self.failure_report = FailureReport()
+        self.policy.begin()
         self._health = {}
         self.retired_workers = set()
         if self.ledger_path is not None:
@@ -319,6 +297,11 @@ class _BrokerBase:
         return len(self._replayed)
 
     @property
+    def failure_report(self) -> FailureReport:
+        """Retries, timeouts and quarantined specs of the campaign."""
+        return self.policy.report
+
+    @property
     def telemetry(self) -> Dict[str, int]:
         """Fault/balance counters for the current campaign.
 
@@ -370,7 +353,7 @@ class _BrokerBase:
             return None  # another campaign's straggler
         if index in self._resolved:
             return None  # duplicate after a lease requeue
-        if isinstance(outcome, SchedulingError):
+        if isinstance(outcome, FailureInfo):
             self._spec_failed(index, outcome, outcome_worker(payload))
             return None
         self._resolved.add(index)
@@ -378,49 +361,34 @@ class _BrokerBase:
         return index, outcome
 
     def _spec_failed(
-        self, index: int, exc: SchedulingError, worker: str = ""
+        self, index: int, failure: FailureInfo, worker: str = ""
     ) -> None:
-        """Charge one failed execution against ``index``'s budget.
+        """Charge one failed execution of ``index`` to the policy.
 
-        Within budget: schedule a deterministic-backoff retry.  Budget
-        exhausted: quarantine (policy ``"quarantine"``) or raise (the
-        default — same first-failure abort as before this layer, down
-        to the message the pinned tests match).
+        A quarantined spec resolves without a result and is never
+        journaled, so a resumed run gets a fresh chance at it.
         """
         self._note_worker(worker, 1)
-        failure = FailureInfo.from_exception(exc)
-        if isinstance(exc, SpecTimeout):
-            self.failure_report.timeouts += 1
-        attempts = self._attempts.get(index, 0) + 1
-        self._attempts[index] = attempts
-        if attempts <= self.max_retries:
-            self.failure_report.retries += 1
-            seed = int(getattr(self._items.get(index), "seed", 0) or 0)
-            due = time.monotonic() + backoff_delay(
-                seed, attempts, base=self.backoff_base
-            )
-            self._retry_due.append((due, index))
-            return
-        if self.on_error == "quarantine":
-            spec = self._items.get(index)
-            self.failure_report.quarantined.append(
-                QuarantinedSpec(
-                    index=index,
-                    spec_hash=(
-                        content_hash(spec) if spec is not None else ""
-                    ),
-                    attempts=attempts,
-                    failure=failure,
-                )
-            )
-            # Quarantine resolves the unit (without a result) so the
-            # campaign can finish; it is never journaled, so a resumed
-            # run gets a fresh chance at the spec.
-            self._resolved.add(index)
-            return
-        raise SchedulingError(
-            f"worker failed executing scenario {index}: {exc}"
+        delay = self.policy.charge(
+            index,
+            self._items.get(index),
+            failure,
+            context=f"worker failed executing scenario {index}: ",
         )
+        if delay is None:
+            self._resolved.add(index)
+        else:
+            self._retry_due.append((time.monotonic() + delay, index))
+
+    def _overdue(self, index: int, worker: str, why: str) -> None:
+        """Broker backstop: charge ``index`` as a timeout after its
+        unit outlived :attr:`RetryPolicy.backstop_grace`."""
+        self._note_worker(worker, 1)
+        timeout = SpecTimeout(
+            f"spec {index} exceeded its {self.policy.spec_timeout:.3g}s "
+            f"deadline (broker backstop; {why})"
+        )
+        self._spec_failed(index, FailureInfo.from_exception(timeout))
 
     def _flush_retries(self) -> None:
         """Republish every retry whose backoff has elapsed."""
@@ -514,7 +482,6 @@ class DirectoryBroker(_BrokerBase):
         max_retries: int = 0,
         on_error: str = "raise",
         spec_timeout: Optional[float] = None,
-        backoff_base: float = 0.05,
         health_threshold: Optional[int] = None,
     ) -> None:
         workdir = WorkDir(root)
@@ -525,7 +492,6 @@ class DirectoryBroker(_BrokerBase):
             max_retries=max_retries,
             on_error=on_error,
             spec_timeout=spec_timeout,
-            backoff_base=backoff_base,
             health_threshold=health_threshold,
         )
         if lease_timeout <= 0:
@@ -557,7 +523,10 @@ class DirectoryBroker(_BrokerBase):
     ) -> None:
         job, todo = self._begin(items, resume=resume, campaign=campaign)
         self.workdir.publish(
-            job, todo, chunk_size=self.chunk_size, timeout=self.spec_timeout
+            job,
+            todo,
+            chunk_size=self.chunk_size,
+            timeout=self.policy.spec_timeout,
         )
 
     def _requeue_index(self, index: int) -> None:
@@ -568,7 +537,7 @@ class DirectoryBroker(_BrokerBase):
             str(self.job),
             [(index, spec)],
             chunk_size=1,
-            timeout=self.spec_timeout,
+            timeout=self.policy.spec_timeout,
         )
 
     def _retire_worker(self, worker: str) -> None:
@@ -586,9 +555,9 @@ class DirectoryBroker(_BrokerBase):
         second so it only acts when the watchdog could not (worker
         thread, non-POSIX platform, wedged C extension).
         """
-        if self.spec_timeout is None:
+        grace = self.policy.backstop_grace
+        if grace is None:
             return
-        grace = 2.0 * self.spec_timeout + 1.0
         now = time.monotonic()
         live: Set[Tuple[str, int]] = set()
         for path in sorted(self.workdir.claimed.glob("chunk-*.json")):
@@ -612,17 +581,10 @@ class DirectoryBroker(_BrokerBase):
             self._overdue_fired.add(key)
             if index in self._resolved or index not in self._expected:
                 continue
-            worker = str(payload.get("worker") or "")
-            self._note_worker(worker, 1)
-            self._spec_failed(
+            self._overdue(
                 index,
-                SpecTimeout(
-                    f"spec {index} exceeded its "
-                    f"{self.spec_timeout:.3g}s deadline (broker "
-                    "backstop; worker still holds the lease)",
-                    exc_type="SpecTimeout",
-                ),
-                worker="",
+                str(payload.get("worker") or ""),
+                "worker still holds the lease",
             )
         for key in list(self._active_obs):
             if key not in live:
@@ -636,8 +598,9 @@ class DirectoryBroker(_BrokerBase):
         # only needs to be a fraction of the lease timeout — not every
         # poll tick.
         scan_interval = min(1.0, self.lease_timeout / 4.0)
-        if self.spec_timeout is not None:
-            scan_interval = min(scan_interval, self.spec_timeout / 2.0)
+        timeout = self.policy.spec_timeout
+        if timeout is not None:
+            scan_interval = min(scan_interval, timeout / 2.0)
         last_scan = -scan_interval
         last_progress = time.monotonic()
         while not self.done:
@@ -931,7 +894,6 @@ class TCPBroker(_BrokerBase):
         max_retries: int = 0,
         on_error: str = "raise",
         spec_timeout: Optional[float] = None,
-        backoff_base: float = 0.05,
         health_threshold: Optional[int] = None,
     ) -> None:
         super().__init__(
@@ -941,7 +903,6 @@ class TCPBroker(_BrokerBase):
             max_retries=max_retries,
             on_error=on_error,
             spec_timeout=spec_timeout,
-            backoff_base=backoff_base,
             health_threshold=health_threshold,
         )
         if lease_timeout is not None and lease_timeout <= 0:
@@ -990,7 +951,7 @@ class TCPBroker(_BrokerBase):
                 self._state.pending.append(
                     [
                         task_payload(
-                            job, i, spec, timeout=self.spec_timeout
+                            job, i, spec, timeout=self.policy.spec_timeout
                         )
                         for i, spec in batch
                     ]
@@ -1001,7 +962,7 @@ class TCPBroker(_BrokerBase):
         if spec is None:
             return
         task = task_payload(
-            str(self.job), index, spec, timeout=self.spec_timeout
+            str(self.job), index, spec, timeout=self.policy.spec_timeout
         )
         with self._state.lock:
             if index not in self._state.owner:
@@ -1048,9 +1009,9 @@ class TCPBroker(_BrokerBase):
         skip the unit — and charged as a timeout through the normal
         retry/quarantine path.
         """
-        if self.spec_timeout is None:
+        grace = self.policy.backstop_grace
+        if grace is None:
             return
-        grace = 2.0 * self.spec_timeout + 1.0
         cutoff = time.monotonic() - grace
         overdue: List[Tuple[int, str]] = []
         with self._state.lock:
@@ -1074,17 +1035,7 @@ class TCPBroker(_BrokerBase):
                 )
                 overdue.append((index, token))
         for index, token in overdue:
-            self._note_worker(token, 1)
-            self._spec_failed(
-                index,
-                SpecTimeout(
-                    f"spec {index} exceeded its "
-                    f"{self.spec_timeout:.3g}s deadline (broker "
-                    "backstop; worker still heartbeating)",
-                    exc_type="SpecTimeout",
-                ),
-                worker="",
-            )
+            self._overdue(index, token, "worker still heartbeating")
 
     @property
     def telemetry(self) -> Dict[str, int]:

@@ -110,13 +110,15 @@ class DistributedRunner(GrowableRunnerMixin):
         Fail the campaign if no outcome arrives for this many seconds
         (``None`` waits forever) — the guard against running
         broker-only with no fleet attached.
-    max_retries / on_error / spec_timeout / backoff_base:
-        Fault-containment knobs, mirroring
+    max_retries / on_error / spec_timeout:
+        Fault-containment knobs, the same
+        :class:`~repro.campaign.failures.RetryPolicy` as
         :class:`~repro.campaign.runner.CampaignRunner`: failed specs
         are retried up to ``max_retries`` times with deterministic
         seeded backoff; a spec exhausting its budget is quarantined
         into the result's FailureReport (``on_error="quarantine"``)
-        or aborts the campaign (``"raise"``, the default);
+        or aborts the campaign with a
+        :class:`~repro.errors.SpecFailure` (``"raise"``, the default);
         ``spec_timeout`` rides inside task payloads so workers arm an
         execution watchdog, backstopped by the broker's lease clock.
     health_threshold:
@@ -146,7 +148,6 @@ class DistributedRunner(GrowableRunnerMixin):
         max_retries: int = 0,
         on_error: str = "raise",
         spec_timeout: Optional[float] = None,
-        backoff_base: float = 0.05,
         health_threshold: Optional[int] = None,
     ) -> None:
         if (workdir is None) == (listen is None):
@@ -182,7 +183,6 @@ class DistributedRunner(GrowableRunnerMixin):
             max_retries=max_retries,
             on_error=on_error,
             spec_timeout=spec_timeout,
-            backoff_base=backoff_base,
             health_threshold=health_threshold,
         )
         if workdir is not None:

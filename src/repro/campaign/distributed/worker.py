@@ -14,9 +14,9 @@ sending ``heartbeat`` messages over TCP) so long scenarios are never
 falsely requeued however short the broker's lease timeout is.
 
 Execution errors are reported back as outcome payloads (the broker
-fails the campaign); infrastructure errors (broker not up yet, broken
-connection, a restarting broker within ``reconnect_grace``) are
-retried until ``idle_timeout`` expires.
+charges them to its retry policy); infrastructure errors (broker not
+up yet, broken connection, a restarting broker within
+``reconnect_grace``) are retried until ``idle_timeout`` expires.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Dict, Optional, Set, Union
 
 from ... import faults
 from ...errors import SchedulingError
-from ..failures import FailureInfo, spec_deadline
-from ..runner import run_spec
+from ..failures import FailureInfo
+from ..runner import execute_guarded
 from .protocol import (
     PROTOCOL_VERSION,
     error_payload,
@@ -49,31 +49,32 @@ __all__ = ["execute_payload", "run_directory_worker", "run_tcp_worker"]
 def execute_payload(payload: Dict, *, worker: str = "") -> Dict:
     """Run one task payload, capturing execution errors as data.
 
-    A malformed payload (schema drift, a spec kind this worker's
-    version doesn't know) is reported like any execution error rather
-    than raised — otherwise one poison-pill task would serially crash
-    every worker that leases it.  Errors travel structured (exception
-    class, message, traceback text — protocol v3) so the broker can
-    charge retry budgets and quarantine with provenance.  A task
-    carrying a ``timeout`` runs under the :func:`spec_deadline`
-    watchdog; ``worker`` stamps outcomes for broker health scoring.
+    The spec runs through :func:`~repro.campaign.runner.execute_guarded`,
+    the executor the local runner uses too, under the task's
+    ``timeout`` (if any).  A malformed payload (schema drift, a spec
+    kind this worker's version doesn't know) is reported like any
+    execution error rather than raised — otherwise one poison-pill
+    task would serially crash every worker that leases it.  Errors
+    travel structured (exception class, message, traceback text) so
+    the broker can charge retry budgets and quarantine with
+    provenance; ``worker`` stamps outcomes for broker health scoring.
     """
     job = str(payload.get("job", ""))
     try:
-        index = int(payload.get("index", -1))
-    except (TypeError, ValueError):
-        index = -1
-    try:
         job, index, spec = parse_task(payload)
-        deadline = task_timeout(payload)
-        with spec_deadline(deadline, what=f"spec {index}"):
-            faults.fire("spec.execute", index)
-            result = run_spec(spec)
-    except Exception as exc:  # deterministic failure: report, don't die
-        return error_payload(
-            job, index, FailureInfo.from_exception(exc), worker=worker
-        )
-    return result_payload(job, index, result, worker=worker)
+    except Exception as exc:  # noqa: BLE001 - a poison pill, not a crash
+        try:
+            index = int(payload.get("index", -1))
+        except (TypeError, ValueError):
+            index = -1
+        failure = FailureInfo.from_exception(exc)
+        return error_payload(job, index, failure, worker=worker)
+    _, pairs, _, failure = execute_guarded(
+        (index, spec, task_timeout(payload), 0.0)
+    )
+    if failure is not None:
+        return error_payload(job, index, failure, worker=worker)
+    return result_payload(job, index, pairs[0][1], worker=worker)
 
 
 class _IdleClock:
@@ -169,10 +170,7 @@ def _serve_chunk(
                     current["tasks"] = tasks
                 workdir.update(current)
             outcome = execute_payload(task, worker=worker)
-            try:
-                task_index = int(task.get("index", -1))
-            except (TypeError, ValueError):
-                task_index = -1
+            task_index = outcome["index"]
             if faults.fire("transport.result", task_index) == "drop":
                 # The outcome is lost as if this worker died between
                 # executing and publishing: abandon the chunk without
@@ -380,10 +378,7 @@ def run_tcp_worker(
                         except (TypeError, ValueError):
                             pass
                         outcome = execute_payload(task, worker=token)
-                        try:
-                            task_index = int(task.get("index", -1))
-                        except (TypeError, ValueError):
-                            task_index = -1
+                        task_index = outcome["index"]
                         if (
                             faults.fire("transport.result", task_index)
                             == "drop"

@@ -1,17 +1,18 @@
 """Failure containment for campaigns: budgets, backoff, quarantine.
 
-A campaign under ``on_error="quarantine"`` no longer aborts on the
-first bad spec.  Each failing spec is retried up to ``max_retries``
-times with deterministic seeded exponential backoff; a spec that
-exhausts its budget is *quarantined* — recorded in a
-:class:`FailureReport` with its structured traceback — and the
-campaign completes with partial results.  Under the default
-``on_error="raise"`` the first failure still propagates, byte-for-byte
-compatible with the pre-existing behavior.
+:class:`RetryPolicy` is the one retry/quarantine decision every
+campaign runner charges failures through.  Each failing spec is
+retried up to ``max_retries`` times with deterministic seeded
+exponential backoff; a spec that exhausts its budget is either
+*quarantined* — recorded in a :class:`FailureReport` with its
+structured traceback, and the campaign completes with partial results
+(``on_error="quarantine"``) — or raised as a
+:class:`~repro.errors.SpecFailure` (``on_error="raise"``, the
+default).
 
-Also home to the local worker's execution watchdog
-(:func:`spec_deadline`), which interrupts a spec that runs past its
-deadline with a retryable :class:`~repro.errors.SpecTimeout`.
+Also home to the execution watchdog (:func:`spec_deadline`), which
+interrupts a spec that runs past its deadline with a
+:class:`~repro.errors.SpecTimeout`.
 """
 
 from __future__ import annotations
@@ -28,24 +29,18 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import SchedulingError, SpecFailure, SpecTimeout
+from .spec import Spec, content_hash, is_cacheable
 
 __all__ = [
     "FailureInfo",
     "FailureReport",
     "QuarantinedSpec",
+    "RetryPolicy",
     "backoff_delay",
     "spec_deadline",
 ]
 
 ON_ERROR_POLICIES = ("raise", "quarantine")
-
-
-def validate_on_error(policy: str) -> str:
-    if policy not in ON_ERROR_POLICIES:
-        raise SchedulingError(
-            f"on_error must be one of {ON_ERROR_POLICIES}, got {policy!r}"
-        )
-    return policy
 
 
 @dataclass(frozen=True)
@@ -60,35 +55,26 @@ class FailureInfo:
     exc_type: str
     message: str
     traceback_text: str = ""
-    retryable: bool = True
 
     @classmethod
     def from_exception(cls, exc: BaseException) -> "FailureInfo":
-        if isinstance(exc, SpecFailure) and exc.traceback_text:
-            tb = exc.traceback_text
+        # A SpecFailure keeps the provenance of the error it wraps.
+        if isinstance(exc, SpecFailure):
+            exc_type, tb = exc.exc_type, exc.traceback_text
         else:
+            exc_type, tb = type(exc).__name__, ""
+        if not tb:
             tb = "".join(
-                traceback.format_exception(
-                    type(exc), exc, exc.__traceback__
-                )
+                traceback.format_exception(type(exc), exc, exc.__traceback__)
             )
-        exc_type = (
-            exc.exc_type
-            if isinstance(exc, SpecFailure)
-            else type(exc).__name__
-        )
-        return cls(
-            exc_type=exc_type,
-            message=str(exc),
-            traceback_text=tb,
-            retryable=bool(getattr(exc, "retryable", True)),
-        )
+        return cls(exc_type=exc_type, message=str(exc), traceback_text=tb)
 
-    def to_exception(self) -> SpecFailure:
-        """Rehydrate as a :class:`SpecFailure` (timeout-aware)."""
+    def to_exception(self, context: str = "") -> SpecFailure:
+        """Rehydrate as a :class:`SpecFailure` (timeout-aware), its
+        message prefixed with ``context``."""
         cls = SpecTimeout if self.exc_type == "SpecTimeout" else SpecFailure
         return cls(
-            self.message,
+            context + self.message,
             exc_type=self.exc_type,
             traceback_text=self.traceback_text,
         )
@@ -98,7 +84,6 @@ class FailureInfo:
             "type": self.exc_type,
             "message": self.message,
             "traceback": self.traceback_text,
-            "retryable": self.retryable,
         }
 
     @classmethod
@@ -107,7 +92,6 @@ class FailureInfo:
             exc_type=str(data.get("type", "SpecFailure")),
             message=str(data.get("message", "")),
             traceback_text=str(data.get("traceback", "")),
-            retryable=bool(data.get("retryable", True)),
         )
 
 
@@ -190,6 +174,102 @@ class FailureReport:
         self.quarantined.extend(other.quarantined)
         self.retries += other.retries
         self.timeouts += other.timeouts
+
+
+class RetryPolicy:
+    """The retry/quarantine decision and one campaign's books.
+
+    Validates the containment knobs once; per campaign (:meth:`begin`)
+    counts attempts and fills :attr:`report`.  Runners only schedule
+    retries (rounds locally, a monotonic due-queue on brokers);
+    :meth:`charge` decides everything else.
+    """
+
+    def __init__(
+        self,
+        max_retries: int = 0,
+        on_error: str = "raise",
+        spec_timeout: Optional[float] = None,
+    ) -> None:
+        if max_retries < 0:
+            raise SchedulingError(
+                f"max_retries must be >= 0, got {max_retries}"
+            )
+        if spec_timeout is not None and spec_timeout <= 0:
+            raise SchedulingError(
+                f"spec_timeout must be positive, got {spec_timeout}"
+            )
+        if on_error not in ON_ERROR_POLICIES:
+            raise SchedulingError(
+                f"on_error must be one of {ON_ERROR_POLICIES}, "
+                f"got {on_error!r}"
+            )
+        self.max_retries = int(max_retries)
+        self.on_error = on_error
+        self.spec_timeout = (
+            float(spec_timeout) if spec_timeout is not None else None
+        )
+        self.begin()
+
+    def begin(self) -> None:
+        """Start a campaign: no attempts charged, an empty report."""
+        self.report = FailureReport()
+        self._attempts: Dict[int, int] = {}
+
+    @property
+    def is_default(self) -> bool:
+        """No retries, no deadline, first failure raises."""
+        return (
+            self.max_retries == 0
+            and self.spec_timeout is None
+            and self.on_error == "raise"
+        )
+
+    @property
+    def backstop_grace(self) -> Optional[float]:
+        """Seconds a broker lets one attempt hold its unit before it
+        charges a timeout itself: twice the deadline plus a second, so
+        it only acts when the worker-side watchdog could not."""
+        if self.spec_timeout is None:
+            return None
+        return 2.0 * self.spec_timeout + 1.0
+
+    def charge(
+        self,
+        index: int,
+        spec: Optional[Spec],
+        failure: FailureInfo,
+        *,
+        context: str = "",
+    ) -> Optional[float]:
+        """Charge one failed attempt of spec ``index``: the backoff
+        (s) before its retry, or ``None`` once quarantined.  Under
+        ``"raise"`` a spent budget raises ``failure`` as a
+        :class:`~repro.errors.SpecFailure` prefixed with ``context``.
+        """
+        if failure.exc_type == "SpecTimeout":
+            self.report.timeouts += 1
+        attempts = self._attempts.get(index, 0) + 1
+        self._attempts[index] = attempts
+        if attempts <= self.max_retries:
+            self.report.retries += 1
+            seed = int(getattr(spec, "seed", 0) or 0)
+            return backoff_delay(seed, attempts)
+        if self.on_error == "raise":
+            raise failure.to_exception(context)
+        self.report.quarantined.append(
+            QuarantinedSpec(
+                index=index,
+                spec_hash=(
+                    content_hash(spec)
+                    if spec is not None and is_cacheable(spec)
+                    else ""
+                ),
+                attempts=attempts,
+                failure=failure,
+            )
+        )
+        return None
 
 
 def backoff_delay(

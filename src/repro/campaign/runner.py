@@ -23,7 +23,7 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,14 +42,7 @@ from ..taskgraph.tgff import random_dag
 from ..workloads.generator import UniformActuals, paper_task_set
 from .aggregate import MetricSummary, StreamingAggregator, summarize
 from .cache import ResultCache
-from .failures import (
-    FailureInfo,
-    FailureReport,
-    QuarantinedSpec,
-    backoff_delay,
-    spec_deadline,
-    validate_on_error,
-)
+from .failures import FailureInfo, FailureReport, RetryPolicy, spec_deadline
 from .growth import GrowableRunnerMixin
 from .registry import (
     NEAR_OPTIMAL,
@@ -67,7 +60,6 @@ from .spec import (
     ScenarioSpec,
     Spec,
     SurvivalSpec,
-    content_hash,
     is_cacheable,
 )
 
@@ -337,11 +329,6 @@ def run_spec(spec: Spec) -> ScenarioResult:
     raise SchedulingError(f"unknown spec type {type(spec).__name__}")
 
 
-def _worker(item: Tuple[int, Spec]) -> Tuple[int, ScenarioResult]:
-    index, spec = item
-    return index, run_spec(spec)
-
-
 def _batch_worker(
     items: Tuple[Tuple[int, ScenarioSpec], ...],
 ) -> Tuple[List[Tuple[int, ScenarioResult]], Dict[str, int]]:
@@ -351,29 +338,40 @@ def _batch_worker(
     return pairs, stats
 
 
-def _guarded_worker(
-    item: Tuple,
-) -> Tuple[int, Optional[ScenarioResult], Optional[FailureInfo]]:
-    """Execute one spec under fault containment.
+#: ``(index, work, timeout, delay)`` for :func:`execute_guarded`:
+#: ``work`` is a spec, or a vector batch's ``(index, spec)`` pairs.
+Unit = Tuple[int, Union[Spec, tuple], Optional[float], float]
 
-    Used instead of :func:`_worker` whenever retry budgets, timeouts,
-    quarantine, or an armed fault plan are in play: exceptions come
-    back as structured :class:`FailureInfo` values (so the parent can
-    charge budgets and quarantine) instead of poisoning the pool, and
-    the spec runs inside the :func:`spec_deadline` watchdog.  A retry
-    carries its backoff delay with it, so waits from different specs
-    overlap instead of serializing in the parent.
+
+def execute_guarded(
+    unit: Unit,
+) -> Tuple[
+    int,
+    List[Tuple[int, ScenarioResult]],
+    Dict[str, int],
+    Optional[FailureInfo],
+]:
+    """Execute one unit under fault containment; every runner's executor.
+
+    The unit runs inside the :func:`spec_deadline` watchdog after the
+    ``spec.execute`` fault point; an exception comes back as a
+    :class:`FailureInfo` value, so none crosses a process boundary.
+    Returns ``(index, pairs, stats, failure)``: the unit's ``(index,
+    result)`` pairs (empty on failure) and a batch's telemetry.  A
+    retry sleeps its backoff here, so waits overlap across workers.
     """
-    index, spec, timeout, delay = item
+    index, work, timeout, delay = unit
     if delay > 0:
         time.sleep(delay)
     try:
         with spec_deadline(timeout, what=f"spec {index}"):
             faults.fire("spec.execute", index)
-            result = run_spec(spec)
-        return index, result, None
+            if isinstance(work, tuple):
+                pairs, stats = _batch_worker(work)
+                return index, pairs, stats, None
+            return index, [(index, run_spec(work))], {}, None
     except Exception as exc:  # noqa: BLE001 - containment boundary
-        return index, None, FailureInfo.from_exception(exc)
+        return index, [], {}, FailureInfo.from_exception(exc)
 
 
 def _pool_init(snapshot, fault_plan_json: Optional[str]) -> None:
@@ -412,9 +410,10 @@ class CampaignResult:
     containment happened, ``None`` on a clean default run);
     ``demoted`` counts scenarios the numeric guardrails demoted from
     the vector engine to the scalar path.  Quarantined specs are
-    absent from ``results``, so under quarantine
-    ``len(results) + quarantined == scenarios + quarantined`` holds
-    and per-metric columns align with the surviving specs only.
+    absent from ``results`` (per-metric columns align with the
+    surviving specs only), and every spec is accounted for exactly
+    once: ``cache_hits + executed + replayed == len(results) +
+    quarantined`` on every runner.
     """
 
     results: List[ScenarioResult]
@@ -464,6 +463,10 @@ OnResult = Callable[[int, ScenarioResult], None]
 class CampaignRunner(GrowableRunnerMixin):
     """Executes spec lists, optionally in parallel and cached.
 
+    Every spec runs through :func:`execute_guarded`, and failures are
+    charged to one :class:`~repro.campaign.failures.RetryPolicy`; the
+    default knobs are a zero retry budget on that same path.
+
     Parameters
     ----------
     n_workers:
@@ -491,35 +494,28 @@ class CampaignRunner(GrowableRunnerMixin):
         array-expressible scenarios of a batch in lock-step numpy
         passes and falling back per scenario to the scalar engine
         otherwise; the battery side gets one columnar hand-off per
-        batch.  Results are bit-identical to the default per-spec
-        path.  Every Table 2 scheme (EDF through BAS-2, stochastic
-        actuals included) is array-expressible, so paper campaigns
-        vectorize with zero fallbacks.
+        batch.  Results are bit-identical to the per-spec path.  Every
+        Table 2 scheme (EDF through BAS-2, stochastic actuals
+        included) is array-expressible, so paper campaigns vectorize
+        with zero fallbacks.  Batches go out only at the default knobs
+        below with no :mod:`repro.faults` plan armed; a batch that
+        raises re-runs as uncharged singles in the next round.
     max_retries:
         Failed specs are re-executed up to this many times before the
         ``on_error`` policy applies.  Retries back off with
         deterministic seeded exponential delays
         (:func:`~repro.campaign.failures.backoff_delay`).
     spec_timeout:
-        Wall-clock seconds one spec may execute before the worker-side
-        watchdog interrupts it with a retryable
-        :class:`~repro.errors.SpecTimeout` (``None`` disables).
+        Wall-clock seconds one spec may execute before the watchdog
+        interrupts it with a :class:`~repro.errors.SpecTimeout`
+        (``None`` disables).
     on_error:
-        ``"raise"`` (default) propagates the first failure that
-        exhausts its retry budget — byte-identical to historical
-        behavior at the other defaults.  ``"quarantine"`` records it
-        in the result's :class:`~repro.campaign.failures.
-        FailureReport` instead and lets the campaign complete with
-        partial results.
-    backoff_base:
-        First-retry backoff in seconds (doubles per attempt, capped).
-
-    Fault containment (any of the above knobs non-default, or a
-    :mod:`repro.faults` plan armed) executes specs as guarded
-    singles: failures come back structured instead of poisoning the
-    pool.  Scenario batching/vectorization is bypassed in that mode —
-    per-spec failure attribution needs per-spec execution — which
-    changes throughput, never results.
+        ``"raise"`` (default) raises the first failure that exhausts
+        its retry budget as a :class:`~repro.errors.SpecFailure`
+        naming the original exception type, message and traceback.
+        ``"quarantine"`` records it in the result's
+        :class:`~repro.campaign.failures.FailureReport` instead and
+        lets the campaign complete with partial results.
     """
 
     def __init__(
@@ -533,21 +529,12 @@ class CampaignRunner(GrowableRunnerMixin):
         max_retries: int = 0,
         spec_timeout: Optional[float] = None,
         on_error: str = "raise",
-        backoff_base: float = 0.05,
     ) -> None:
         if n_workers < 1:
             raise SchedulingError(f"n_workers must be >= 1, got {n_workers}")
         if chunksize < 1:
             raise SchedulingError(f"chunksize must be >= 1, got {chunksize}")
-        if max_retries < 0:
-            raise SchedulingError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        if spec_timeout is not None and spec_timeout <= 0:
-            raise SchedulingError(
-                f"spec_timeout must be positive, got {spec_timeout}"
-            )
-        validate_on_error(on_error)
+        self.policy = RetryPolicy(max_retries, on_error, spec_timeout)
         if start_method is not None:
             known = multiprocessing.get_all_start_methods()
             if start_method not in known:
@@ -560,21 +547,6 @@ class CampaignRunner(GrowableRunnerMixin):
         self.chunksize = int(chunksize)
         self.start_method = start_method
         self.sim_vector = bool(sim_vector)
-        self.max_retries = int(max_retries)
-        self.spec_timeout = (
-            float(spec_timeout) if spec_timeout is not None else None
-        )
-        self.on_error = on_error
-        self.backoff_base = float(backoff_base)
-
-    def _contained(self) -> bool:
-        """Whether the fault-containment execution path is active."""
-        return (
-            self.max_retries > 0
-            or self.spec_timeout is not None
-            or self.on_error != "raise"
-            or faults.active_plan() is not None
-        )
 
     # ------------------------------------------------------------------
     def run(
@@ -591,6 +563,13 @@ class CampaignRunner(GrowableRunnerMixin):
         worker completions in arrival order) — aggregates are still
         deterministic because :class:`StreamingAggregator` summarizes
         in index order.
+
+        Execution is round-based: every spec still owed an attempt
+        runs (in parallel) with its backoff delay attached, failures
+        are charged to the policy, and the retries seed the next
+        round.  Deterministic for a given (spec list, seed set,
+        failure pattern): retry order is index order and every
+        backoff is a pure function of (spec seed, attempt).
         """
         # repro: noqa[DET002] -- wall-time telemetry bracket; the
         # value lands only in CampaignResult.wall_time_s
@@ -621,43 +600,36 @@ class CampaignRunner(GrowableRunnerMixin):
             else:
                 pending.append(index)
 
-        def absorb(index: int, result: ScenarioResult) -> None:
-            if self.cache is not None and is_cacheable(result.spec):
-                self.cache.put(result)
-            emit(index, result)
-
-        report: Optional[FailureReport] = None
+        policy = self.policy
+        policy.begin()
+        vector = (
+            self.sim_vector
+            and policy.is_default
+            and faults.active_plan() is None
+        )
         demoted = 0
-        if pending and self._contained():
-            report = self._run_contained(specs, pending, absorb)
-        elif pending:
-            batched: List[int] = []
-            if self.sim_vector:
-                batched = [
-                    i
-                    for i in pending
-                    if isinstance(specs[i], ScenarioSpec)
-                    and specs[i].scheme != NEAR_OPTIMAL
-                ]
-            batched_set = set(batched)
-            singles = [
-                (i, specs[i]) for i in pending if i not in batched_set
-            ]
-            if singles:
-                for index, result in self._execute(singles, _worker):
-                    absorb(index, result)
-            if batched:
-                payloads = [
-                    tuple(
-                        (i, specs[i]) for i in batched[k:k + _VECTOR_BATCH]
-                    )
-                    for k in range(0, len(batched), _VECTOR_BATCH)
-                ]
-                for group, stats in self._execute(payloads, _batch_worker):
-                    demoted += int(stats.get("numeric_demotions", 0))
-                    for index, result in group:
-                        absorb(index, result)
+        queue: List[Tuple[int, float]] = [(i, 0.0) for i in pending]
+        while queue:
+            units, batches = self._units(specs, queue, vector)
+            vector = False  # split batches re-run as singles
+            retry: List[Tuple[int, float]] = []
+            for index, pairs, stats, failure in self._execute(units):
+                demoted += int(stats.get("numeric_demotions", 0))
+                for i, result in pairs:
+                    if self.cache is not None and is_cacheable(result.spec):
+                        self.cache.put(result)
+                    emit(i, result)
+                if failure is None:
+                    continue
+                if index in batches:
+                    retry.extend((i, 0.0) for i in batches[index])
+                    continue
+                delay = policy.charge(index, specs[index], failure)
+                if delay is not None:
+                    retry.append((index, delay))
+            queue = sorted(retry)
 
+        report = policy.report
         return CampaignResult(
             results=[r for r in results if r is not None],
             # repro: noqa[DET002] -- telemetry field only
@@ -665,79 +637,48 @@ class CampaignRunner(GrowableRunnerMixin):
             n_workers=self.n_workers,
             cache_hits=cache_hits,
             executed=len(pending),
-            retried=report.retries if report is not None else 0,
-            quarantined=(
-                len(report.quarantined) if report is not None else 0
-            ),
+            retried=report.retries,
+            quarantined=len(report.quarantined),
             demoted=demoted,
             failures=report if report else None,
         )
 
-    def _run_contained(
+    def _units(
         self,
         specs: Sequence[Spec],
-        pending: List[int],
-        absorb: Callable[[int, ScenarioResult], None],
-    ) -> FailureReport:
-        """Guarded execution: retries, backoff, quarantine, timeouts.
-
-        Round-based: every spec still owed an attempt runs (in
-        parallel) with its backoff delay attached, failures are
-        charged against budgets, and the survivors of each round seed
-        the next.  Deterministic for a given (spec list, seed set,
-        failure pattern): retry order is index order and every
-        backoff is a pure function of (spec seed, attempt).
-        """
-        report = FailureReport()
-        attempts: Dict[int, int] = {}
-        queue: List[Tuple[int, float]] = [(i, 0.0) for i in pending]
-        while queue:
-            items = [
-                (i, specs[i], self.spec_timeout, delay)
-                for i, delay in queue
-            ]
-            queue = []
-            retry: List[Tuple[int, float]] = []
-            for index, result, failure in self._execute(
-                items, _guarded_worker
-            ):
-                if failure is None:
-                    absorb(index, result)
-                    continue
-                attempts[index] = attempts.get(index, 0) + 1
-                if failure.exc_type == "SpecTimeout":
-                    report.timeouts += 1
-                if attempts[index] <= self.max_retries:
-                    report.retries += 1
-                    delay = backoff_delay(
-                        int(getattr(specs[index], "seed", 0) or 0),
-                        attempts[index],
-                        base=self.backoff_base,
-                    )
-                    retry.append((index, delay))
-                elif self.on_error == "quarantine":
-                    report.quarantined.append(
-                        QuarantinedSpec(
-                            index=index,
-                            spec_hash=(
-                                content_hash(specs[index])
-                                if is_cacheable(specs[index])
-                                else ""
-                            ),
-                            attempts=attempts[index],
-                            failure=failure,
-                        )
-                    )
-                else:
-                    raise failure.to_exception()
-            queue = sorted(retry)
-        return report
+        queue: List[Tuple[int, float]],
+        vector: bool,
+    ) -> Tuple[List[Unit], Dict[int, Tuple[int, ...]]]:
+        """One round's units (``vector``: periodic scenarios batched
+        after the singles), plus each batch's members by lead index."""
+        timeout = self.policy.spec_timeout
+        batched = [
+            i
+            for i, _ in queue
+            if vector
+            and isinstance(specs[i], ScenarioSpec)
+            and specs[i].scheme != NEAR_OPTIMAL
+        ]
+        in_batch = set(batched)
+        units: List[Unit] = [
+            (i, specs[i], timeout, delay)
+            for i, delay in queue
+            if i not in in_batch
+        ]
+        batches: Dict[int, Tuple[int, ...]] = {}
+        for k in range(0, len(batched), _VECTOR_BATCH):
+            group = tuple(batched[k:k + _VECTOR_BATCH])
+            batches[group[0]] = group
+            units.append(
+                (group[0], tuple((i, specs[i]) for i in group), timeout, 0.0)
+            )
+        return units, batches
 
     # ------------------------------------------------------------------
-    def _execute(self, items: List[Tuple], worker: Callable = _worker):
-        if self.n_workers == 1 or len(items) == 1:
-            for item in items:
-                yield worker(item)
+    def _execute(self, units: List[Unit]):
+        if self.n_workers == 1 or len(units) == 1:
+            for unit in units:
+                yield execute_guarded(unit)
             return
         if self.start_method is not None:
             ctx = multiprocessing.get_context(self.start_method)
@@ -750,7 +691,7 @@ class CampaignRunner(GrowableRunnerMixin):
             methods = multiprocessing.get_all_start_methods()
             use_fork = sys.platform.startswith("linux") and "fork" in methods
             ctx = multiprocessing.get_context("fork" if use_fork else None)
-        workers = min(self.n_workers, len(items))
+        workers = min(self.n_workers, len(units))
         # Replaying the declarative-plugin snapshot in every worker
         # makes custom registered entries visible under spawn (and
         # forkserver), not just fork inheritance.
@@ -760,5 +701,5 @@ class CampaignRunner(GrowableRunnerMixin):
             initargs=(plugin_snapshot(), faults.plan_snapshot()),
         ) as pool:
             yield from pool.imap_unordered(
-                worker, items, chunksize=self.chunksize
+                execute_guarded, units, chunksize=self.chunksize
             )

@@ -36,6 +36,11 @@ class DeadlineMissError(SchedulingError):
             f"(violation detected at t={time:.6g})"
         )
 
+    def __reduce__(self):
+        # The default reduce replays ``self.args`` (the formatted
+        # message) into ``__init__``, which takes three fields.
+        return type(self), (self.graph_name, self.deadline, self.time)
+
 
 class SpecFailure(SchedulingError):
     """One spec's execution failed, with structured provenance.
@@ -43,16 +48,10 @@ class SpecFailure(SchedulingError):
     Carries the original exception's class name, message, and traceback
     text so a failure observed on a remote worker (or quarantined into
     a :class:`~repro.campaign.failures.FailureReport`) stays
-    diagnosable after it crossed a process or wire boundary.
-
-    ``retryable`` marks failures worth charging against a spec's retry
-    budget: transient faults (timeouts, injected chaos, transport
-    hiccups) are; a deterministic executor bug would fail identically
-    on every attempt but is retried anyway — the budget, not the flag,
-    bounds the waste.
+    diagnosable after it crossed a process or wire boundary.  Every
+    campaign runner raises it under ``on_error="raise"`` once a spec
+    has spent its retry budget.
     """
-
-    retryable = True
 
     def __init__(
         self,
@@ -71,32 +70,11 @@ class SpecTimeout(SpecFailure):
 
     Raised by the local pool watchdog (:func:`repro.campaign.failures.
     spec_deadline`) and synthesized by the broker when a distributed
-    worker holds a spec past its lease-backed deadline.  Always
-    retryable: a timeout says nothing about the spec itself — the
-    worker may have been descheduled, swapping, or wedged.
+    worker holds a spec past its lease-backed deadline.  Charged to the
+    spec's retry budget like any failure: a timeout says nothing about
+    the spec itself — the worker may have been descheduled, swapping,
+    or wedged.
     """
-
-
-class WorkerLost(SchedulingError):
-    """A worker crashed, vanished, or was retired mid-campaign.
-
-    Never charged against a *spec*'s retry budget (the work unit is
-    simply requeued); it feeds the broker's per-worker health score
-    instead.
-    """
-
-    retryable = True
-
-
-class TransportFault(SchedulingError):
-    """A transport-level fault: dropped/delayed/corrupt payload or ack.
-
-    The distributed queue is designed so every transport fault is
-    recoverable (leases requeue, outcomes are deduplicated by index),
-    so this is retryable by construction.
-    """
-
-    retryable = True
 
 
 class BatteryError(ReproError):

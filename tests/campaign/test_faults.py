@@ -615,7 +615,6 @@ class TestFailureReport:
                         exc_type="InjectedFault",
                         message="poison",
                         traceback_text="Traceback ...",
-                        retryable=True,
                     ),
                 )
             ],

@@ -1,8 +1,12 @@
 """Error hierarchy and public-API surface tests."""
 
+import inspect
+import pickle
+
 import pytest
 
 import repro
+import repro.errors
 from repro.errors import (
     BatteryError,
     CalibrationError,
@@ -10,8 +14,34 @@ from repro.errors import (
     ProfileError,
     ReproError,
     SchedulingError,
+    SpecFailure,
+    SpecTimeout,
     TaskGraphError,
 )
+
+#: Every exception class ``repro.errors`` defines.
+ERROR_CLASSES = sorted(
+    (
+        cls
+        for _, cls in inspect.getmembers(repro.errors, inspect.isclass)
+        if issubclass(cls, BaseException)
+        and cls.__module__ == "repro.errors"
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+#: Constructor arguments for the classes that need more than a message.
+_ERROR_ARGS = {
+    DeadlineMissError: (("G", 10.0, 10.5), {}),
+    SpecFailure: (
+        ("boom",),
+        {"exc_type": "ValueError", "traceback_text": "Traceback ..."},
+    ),
+    SpecTimeout: (
+        ("late",),
+        {"exc_type": "SpecTimeout", "traceback_text": "Traceback ..."},
+    ),
+}
 
 
 class TestHierarchy:
@@ -39,6 +69,23 @@ class TestHierarchy:
         assert err.graph_name == "G"
         assert err.deadline == 10.0
         assert err.time == 10.5
+
+    @pytest.mark.parametrize(
+        "cls", ERROR_CLASSES, ids=[c.__name__ for c in ERROR_CLASSES]
+    )
+    def test_pickle_roundtrip(self, cls):
+        """Every error survives a process boundary with its fields."""
+        args, kwargs = _ERROR_ARGS.get(cls, (("boom",), {}))
+        err = cls(*args, **kwargs)
+        again = pickle.loads(pickle.dumps(err))
+        assert type(again) is cls
+        assert str(again) == str(err)
+        assert again.args == err.args
+        assert vars(again) == vars(err)
+
+    def test_roundtrip_covers_the_fielded_errors(self):
+        assert set(_ERROR_ARGS) <= set(ERROR_CLASSES)
+        assert len(ERROR_CLASSES) >= 9
 
 
 class TestPublicAPI:
