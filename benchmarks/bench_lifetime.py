@@ -11,9 +11,11 @@ scalar reference loop.  Results are verified equivalent (relative
 1e-9) before speedups are reported, and written machine-readable to
 ``BENCH_lifetime.json`` at the repo root.
 
-The stochastic model has no kernel by design (its RNG draw order *is*
-its semantics), so it reports the scalar fallback at ~1x — included
-for coverage, not glory.
+The stochastic model has no kernel (its RNG draw order *is* its
+semantics); its row times the base per-segment ``advance`` walk
+(``BatteryModel._run_profile_scalar``) against the model's own
+slot-tiling driver, on two fresh cells with the same seed, and
+requires bit-identical results.
 
 Also runnable standalone (the CI smoke test)::
 
@@ -37,25 +39,44 @@ if __name__ == "__main__":  # allow standalone runs without PYTHONPATH
 
 from repro.analysis.lifetime import evaluate_lifetime, survival_scale
 from repro.battery import (
+    BatteryModel,
     paper_cell_diffusion,
     paper_cell_kibam,
     paper_cell_stochastic,
     PeukertBattery,
+    StochasticKiBaM,
 )
 from repro.sim.profile import CurrentProfile
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+class _PerSegmentStochastic(StochasticKiBaM):
+    """The stochastic cell tiled by the base per-segment ``advance``
+    walk instead of its own driver."""
+
+    _run_profile_scalar = BatteryModel._run_profile_scalar
+
+
 def _models():
+    """``name -> (fast cell, scalar cell, bitwise)``.
+
+    Deterministic models time both paths on one cell and agree to
+    float noise; the stochastic pair are fresh cells with one seed
+    whose results must match bit for bit.
+    """
+    diffusion = paper_cell_diffusion()
     kib = paper_cell_kibam()
+    peukert = PeukertBattery(kib.capacity, exponent=1.2, i_ref=2.0)
+    sto = paper_cell_stochastic(seed=0)
+    ref = _PerSegmentStochastic(
+        sto.capacity, sto.c, sto.kp, dt=sto.dt, noise=sto.noise, seed=0
+    )
     return {
-        "diffusion": paper_cell_diffusion(),
-        "kibam": kib,
-        "peukert": PeukertBattery(
-            kib.capacity, exponent=1.2, i_ref=2.0
-        ),
-        "stochastic": paper_cell_stochastic(seed=0),
+        "diffusion": (diffusion, diffusion, False),
+        "kibam": (kib, kib, False),
+        "peukert": (peukert, peukert, False),
+        "stochastic": (sto, ref, True),
     }
 
 
@@ -74,23 +95,25 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-def bench_model(name, cell, n_segments, seed):
+def bench_model(name, cell, scalar_cell, bitwise, n_segments, seed):
     """One model's run_profile + survival_scale scalar-vs-fast row."""
     # Tiled-to-death lifetime: short segments so the hyperperiod tiles
     # through many periods before exhaustion (the Table 2 shape).
     life_prof = _schedule_profile(n_segments, 0.1, seed)
     # StochasticKiBaM walks 1 s slots per segment; the same profile is
-    # valid but the scalar cost is dominated by slots, not segments.
+    # valid but its cost is dominated by slots, not segments.
     fast_report, t_fast = _timed(
         lambda: evaluate_lifetime(life_prof, cell, max_time=1e7)
     )
     scalar_report, t_scalar = _timed(
         lambda: evaluate_lifetime(
-            life_prof, cell, max_time=1e7, fast=False
+            life_prof, scalar_cell, max_time=1e7, fast=False
         )
     )
     f_run, s_run = fast_report.run, scalar_report.run
-    if name != "stochastic":  # stochastic shares one RNG across runs
+    if bitwise:
+        assert s_run == f_run, (s_run, f_run)
+    else:
         assert s_run.died == f_run.died
         assert abs(s_run.lifetime - f_run.lifetime) <= (
             1e-9 * max(1.0, s_run.lifetime)
@@ -108,12 +131,10 @@ def bench_model(name, cell, n_segments, seed):
         lambda: survival_scale(cell, surv_prof)
     )
     scale_scalar, ts_scalar = _timed(
-        lambda: survival_scale(cell, surv_prof, fast=False)
+        lambda: survival_scale(scalar_cell, surv_prof, fast=False)
     )
-    if name != "stochastic":
-        assert abs(scale_fast - scale_scalar) <= 1e-6 * scale_scalar, (
-            scale_fast, scale_scalar,
-        )
+    tol = 0.0 if bitwise else 1e-6 * scale_scalar
+    assert abs(scale_fast - scale_scalar) <= tol, (scale_fast, scale_scalar)
 
     return {
         "model": name,
@@ -161,15 +182,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     results = []
-    for name, cell in _models().items():
+    for name, (cell, scalar_cell, bitwise) in _models().items():
         if name in args.skip:
             continue
-        # The stochastic scalar walk is ~1 s slots; cap its size so the
-        # smoke stays fast (it has no fast path to measure anyway).
+        # The stochastic model walks ~1 s slots on both paths; cap its
+        # size so the smoke stays fast.
         n = args.segments if name != "stochastic" else min(
             args.segments, 200
         )
-        row = bench_model(name, cell, n, args.seed)
+        row = bench_model(name, cell, scalar_cell, bitwise, n, args.seed)
         results.append(row)
         rp, sv = row["run_profile"], row["survival_scale"]
         print(

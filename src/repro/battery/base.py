@@ -114,8 +114,9 @@ class BatteryModel(abc.ABC):
         :class:`~repro.battery.kernels.PeriodKernel` that advances one
         profile period as a closed-form affine map (and tiled cycles in
         log time).  Models whose semantics live in the per-step scalar
-        path (e.g. the RNG-driven stochastic model, where draw order
-        matters) keep the default ``None`` and the scalar driver.
+        path keep the default ``None``: the RNG-driven stochastic model,
+        where draw order matters, overrides :meth:`_run_profile_scalar`
+        with its own slot-tiling driver instead.
         ``durations``/``currents`` must already be validated by
         :func:`as_segments`.
         """

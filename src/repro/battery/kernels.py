@@ -26,9 +26,11 @@ periods into its K-th power:
 Concrete kernels live next to their models
 (:class:`~repro.battery.diffusion.DiffusionPeriodKernel`,
 :class:`~repro.battery.kibam.KiBaMPeriodKernel`,
-:class:`~repro.battery.peukert.PeukertPeriodKernel`); models without a
-kernel (the RNG-driven stochastic model, where draw order *is* the
-semantics) keep the scalar loop, which remains the universal fallback.
+:class:`~repro.battery.peukert.PeukertPeriodKernel`).  The RNG-driven
+stochastic model, where draw order *is* the semantics, has no kernel:
+it overrides the scalar driver with its own slot-tiling loop
+(:class:`~repro.battery.stochastic.StochasticKiBaM`).  The scalar
+per-segment loop remains the universal fallback.
 
 Numerical contract: kernel results match the scalar path to floating
 point noise (relative ``~1e-9``; verified by the property suite in
@@ -68,7 +70,9 @@ KERNEL_VERSIONS = {
     "diffusion": 1,
     "kibam": 1,
     "peukert": 1,
-    "scalar": 1,  # the per-segment reference loop in BatteryModel
+    # The per-segment reference loop in BatteryModel and the stochastic
+    # model's slot driver.
+    "scalar": 1,
     # The simulator generation: exact release clock, scale-relative
     # epsilon and deadline-miss semantics landed together with the
     # steady-state fast path; results of edge-case cached scenarios

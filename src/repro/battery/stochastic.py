@@ -15,26 +15,72 @@ noise level (property-tested in ``tests/battery/test_stochastic.py``).
 Determinism: the model takes an explicit seed, so experiment runs are
 reproducible; Table 2 averages over seeds exactly like the paper
 averages over task-graph sets.
+
+Speed: there is no closed-form period kernel (the draw order is the
+semantics), so the model overrides the base per-segment driver with
+its own slot-tiling loop, which :meth:`StochasticKiBaM.advance` shares.
+It keeps the state in plain floats and takes recovery draws from a
+bounded ``standard_gamma`` buffer; on exit the generator is rewound to
+exactly the draws used, so results and the random stream match one
+``rng.gamma`` call per slot bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import BatteryError
-from .base import BatteryModel
+from .base import BatteryModel, BatteryRun
 from .kibam import KiBaM
 
 __all__ = ["StochasticKiBaM"]
+
+#: Most recovery draws held at once; a long life refills in chunks.
+_DRAW_CHUNK = 4096
 
 
 @dataclass(frozen=True)
 class _StochState:
     y1: float
     y2: float
+
+
+class _GammaDraws:
+    """Standard-gamma draws taken from ``rng`` in bounded chunks.
+
+    ``scale * standard_gamma(shape)`` is bitwise what
+    ``rng.gamma(shape, scale)`` returns, and a chunk of ``n`` draws
+    leaves the generator where ``n`` single draws would.  ``close``
+    rewinds to the start of the last chunk and redraws only the part
+    that was used, so the generator ends exactly where per-slot
+    ``rng.gamma`` calls would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator, shape: float, first: float):
+        self.rng = rng
+        self.shape = shape
+        self.size = (
+            max(1, math.ceil(first)) if first < _DRAW_CHUNK else _DRAW_CHUNK
+        )
+        self.mark = None
+        self.taken = 0
+
+    def take(self) -> list:
+        if self.mark is not None:
+            self.size = min(2 * self.size, _DRAW_CHUNK)
+        self.mark = self.rng.bit_generator.state
+        self.taken = self.size
+        return self.rng.standard_gamma(self.shape, size=self.size).tolist()
+
+    def close(self, used: int) -> None:
+        if self.mark is not None and used < self.taken:
+            self.rng.bit_generator.state = self.mark
+            if used:
+                self.rng.standard_gamma(self.shape, size=used)
 
 
 class StochasticKiBaM(BatteryModel):
@@ -79,8 +125,10 @@ class StochasticKiBaM(BatteryModel):
                 f"slot dt={dt:.4g}s too coarse for kp={kp:.4g}/s "
                 f"(need dt <= {0.2 / kp:.4g}s for a stable discretization)"
             )
-        if noise < 0:
-            raise BatteryError(f"noise must be >= 0, got {noise}")
+        if not (noise >= 0 and math.isfinite(noise)):
+            raise BatteryError(
+                f"noise must be finite and >= 0, got {noise}"
+            )
         self.capacity = float(capacity)
         self.c = float(c)
         self.kp = float(kp)
@@ -103,22 +151,6 @@ class StochasticKiBaM(BatteryModel):
         return KiBaM(self.capacity, self.c, self.kp)
 
     # ------------------------------------------------------------------
-    def _flow(self, y1: float, y2: float, dt: float) -> float:
-        """Recovery charge moved bound -> available in one slot."""
-        h1 = y1 / self.c
-        h2 = y2 / (1.0 - self.c)
-        mean = self._k_flow * (h2 - h1) * dt
-        if mean <= 0:
-            # Reverse flow (available -> bound) happens deterministically;
-            # the stochastic recovery story only applies to recovery.
-            return mean
-        if self.noise == 0:
-            return mean
-        # Gamma keeps the flow non-negative with the requested mean and
-        # relative std; shape = 1/noise², scale = mean·noise².
-        shape = 1.0 / (self.noise**2)
-        return float(self._rng.gamma(shape, mean / shape))
-
     def advance(
         self, state: _StochState, current: float, dt: float
     ) -> Tuple[_StochState, Optional[float]]:
@@ -126,26 +158,128 @@ class StochasticKiBaM(BatteryModel):
             raise BatteryError(f"dt must be >= 0, got {dt}")
         if state.y1 <= 0:
             return state, 0.0
-        y1, y2 = state.y1, state.y2
-        elapsed = 0.0
-        remaining = dt
-        while remaining > 0:
-            # Partial final slots are fine: the flow scales with step.
-            step = min(self.dt, remaining)
-            flow = self._flow(y1, y2, step)
-            flow = min(flow, y2) if flow > 0 else max(flow, -y1)
-            y1_new = y1 - current * step + flow
-            y2_new = y2 - flow
-            if y1_new <= 0:
-                # Death inside the slot: linear interpolation of y1.
-                drop = y1 - y1_new
-                frac = y1 / drop if drop > 0 else 0.0
-                death = min(max(elapsed + frac * step, 0.0), dt)
-                return _StochState(0.0, y2_new), death
-            y1, y2 = y1_new, y2_new
-            elapsed += step
-            remaining -= step
-        return _StochState(y1, y2), None
+        y1, y2, death, _, died = self._walk(
+            state.y1, state.y2, ((dt, current),), dt / self.dt,
+            1, math.inf, 0.0, 0.0, 0,
+        )
+        return _StochState(y1, y2), (death if died else None)
+
+    def _run_profile_scalar(
+        self,
+        d: np.ndarray,
+        i: np.ndarray,
+        repeat: Optional[int],
+        max_time: float,
+        *,
+        state: Optional[_StochState] = None,
+        t: float = 0.0,
+        delivered: float = 0.0,
+        cycle: int = 0,
+    ) -> BatteryRun:
+        """The base per-segment driver, with the slot walk inlined.
+
+        Same arguments, checks and results as
+        :meth:`BatteryModel._run_profile_scalar` over :meth:`advance`,
+        bit for bit, and the generator ends where per-slot draws would
+        have left it.
+        """
+        if state is None:
+            state = self.fresh_state()
+        _, _, t, delivered, died = self._walk(
+            state.y1, state.y2, list(zip(d.tolist(), i.tolist())),
+            float(np.ceil(d / self.dt).sum()),
+            repeat, max_time, t, delivered, cycle,
+        )
+        return BatteryRun(died=died, lifetime=t, delivered_charge=delivered)
+
+    def _walk(
+        self,
+        y1: float,
+        y2: float,
+        segments: Sequence[Tuple[float, float]],
+        slots: float,
+        repeat: Optional[int],
+        max_time: float,
+        t: float,
+        delivered: float,
+        cycle: int,
+    ) -> Tuple[float, float, float, float, bool]:
+        """Tile ``(duration, current)`` segments slot by slot from
+        ``(y1, y2)``: the one copy of the slot recurrence.
+
+        Returns ``(y1, y2, t, delivered, died)``; after a death ``t``
+        and ``delivered`` are the lifetime and the charge delivered by
+        then.  ``slots`` estimates the slots of one pass and sizes the
+        first chunk of recovery draws.  Each slot's recovery flow is
+        gamma-distributed with the kinetic mean (shape ``1/noise²``,
+        scale ``mean/shape``); reverse flow (available -> bound) and
+        ``noise == 0`` stay deterministic.
+        """
+        c = self.c
+        c_bound = 1.0 - c
+        k_flow = self._k_flow
+        slot = self.dt
+        noisy = self.noise != 0
+        shape = 1.0 / (self.noise**2) if noisy else 0.0
+        draws = _GammaDraws(self._rng, shape, slots)
+        buf: list = []
+        pos = size = 0
+        try:
+            while True:
+                if cycle:
+                    if repeat is not None and cycle >= repeat:
+                        return y1, y2, t, delivered, False
+                    if t > max_time:
+                        raise BatteryError(
+                            f"battery survived past max_time="
+                            f"{max_time:.3g}s under repeat=None; the load "
+                            f"is too light to ever exhaust it"
+                        )
+                for dt, cur in segments:
+                    if y1 <= 0:
+                        # A dead cell dies again at offset 0 (advance).
+                        death = 0.0
+                        return y1, y2, t + death, delivered + cur * death, True
+                    elapsed = 0.0
+                    remaining = dt
+                    while remaining > 0:
+                        # Partial final slots are fine: the flow
+                        # scales with step.
+                        step = remaining if remaining < slot else slot
+                        mean = k_flow * (y2 / c_bound - y1 / c) * step
+                        if mean <= 0 or not noisy:
+                            flow = mean
+                        else:
+                            if pos == size:
+                                buf = draws.take()
+                                pos, size = 0, len(buf)
+                            flow = mean / shape * buf[pos]
+                            pos += 1
+                        if flow > 0:
+                            if y2 < flow:
+                                flow = y2
+                        elif -y1 > flow:
+                            flow = -y1
+                        y1_new = y1 - cur * step + flow
+                        if y1_new <= 0:
+                            # Death inside the slot: linear
+                            # interpolation of y1.
+                            drop = y1 - y1_new
+                            frac = y1 / drop if drop > 0 else 0.0
+                            death = min(max(elapsed + frac * step, 0.0), dt)
+                            return (
+                                0.0, y2 - flow, t + death,
+                                delivered + cur * death, True,
+                            )
+                        y1 = y1_new
+                        y2 -= flow
+                        elapsed += step
+                        remaining -= step
+                    t += dt
+                    delivered += cur * dt
+                cycle += 1
+        finally:
+            draws.close(pos)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -177,7 +177,10 @@ _VERSIONED_MODULES: Dict[str, Tuple[str, ...]] = {
         "peukert",
         "scalar",
     ),
+    "repro/battery/base.py": ("scalar",),
+    "repro/battery/stochastic.py": ("scalar",),
     "repro/sim/engine.py": ("engine",),
+    "repro/sim/state.py": ("engine",),
     "repro/sim/vector.py": ("vector",),
     "repro/campaign/distributed/protocol.py": ("protocol",),
 }

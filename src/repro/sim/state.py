@@ -68,6 +68,8 @@ class JobState:
             self.actual[name] = min(ac, wc)
         self.executed: Dict[str, float] = {n: 0.0 for n in graph.node_names}
         self.completed: Set[str] = set()
+        # remaining_wc() memo; advance_node() clears it.
+        self._remaining_wc: Optional[float] = None
 
     # ------------------------------------------------------------------
     @property
@@ -98,15 +100,17 @@ class JobState:
 
         Node-granular: a node that completed below its WCET contributes
         nothing — its slack is visible immediately (the paper's
-        Algorithm 1 / BAS view).
+        Algorithm 1 / BAS view).  Memoized until the job next runs.
         """
-        # repro: noqa[DET004] -- node_names is the graph's frozen
-        # topological order; sum order is part of the trace contract
-        return sum(
-            self.remaining_wc_node(n)
-            for n in self.graph.node_names
-            if n not in self.completed
-        )
+        if self._remaining_wc is None:
+            # repro: noqa[DET004] -- node_names is the graph's frozen
+            # topological order; sum order is part of the trace contract
+            self._remaining_wc = sum(
+                self.remaining_wc_node(n)
+                for n in self.graph.node_names
+                if n not in self.completed
+            )
+        return self._remaining_wc
 
     def remaining_wc_coarse(self) -> float:
         """Graph-granular remaining worst case: WCET sum minus executed
@@ -135,6 +139,7 @@ class JobState:
             raise SchedulingError(
                 f"job of {self.name!r}: node {node!r} already complete"
             )
+        self._remaining_wc = None
         self.executed[node] += cycles
         if self.executed[node] >= self.actual[node] - 1e-9:
             self.executed[node] = self.actual[node]

@@ -1,9 +1,12 @@
 """Unit tests for job state and scheduler views."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.sim.state import GraphStatus, JobState, SchedulerView
+from repro.taskgraph.graph import TaskGraph, TaskNode
 from repro.taskgraph.periodic import PeriodicTaskGraph, TaskGraphSet
 
 
@@ -109,6 +112,46 @@ class TestJobState:
         assert job.remaining_wc() == 0.0
         assert job.remaining_wc_coarse() == 0.0
         assert job.ready_nodes() == ()
+
+
+class TestRemainingWcMemo:
+    """``remaining_wc()`` is memoized between ``advance_node`` calls."""
+
+    @staticmethod
+    def _fresh_sum(job):
+        return sum(
+            job.remaining_wc_node(n)
+            for n in job.graph.node_names
+            if n not in job.completed
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fresh_in_order_sum(self, data):
+        n = data.draw(st.integers(1, 8), label="nodes")
+        wcet = st.floats(0.01, 50.0, allow_nan=False)
+        nodes = [TaskNode(f"n{k}", data.draw(wcet)) for k in range(n)]
+        edges = [
+            (f"n{a}", f"n{b}")
+            for a in range(n)
+            for b in range(a + 1, n)
+            if data.draw(st.booleans())
+        ]
+        graph = TaskGraph("g", nodes, edges)
+        frac = st.floats(0.05, 1.0)
+        actual = {t.name: t.wcet * data.draw(frac) for t in nodes}
+        job = JobState(PeriodicTaskGraph(graph, 100.0), 0, 0.0, actual)
+        while not job.is_complete():
+            if data.draw(st.booleans(), label="read"):
+                got, want = job.remaining_wc(), self._fresh_sum(job)
+                assert float(got).hex() == float(want).hex()
+            ready = job.ready_nodes()
+            node = ready[data.draw(st.integers(0, len(ready) - 1))]
+            share = data.draw(
+                st.just(1.0) | st.floats(0.0, 1.2), label="share"
+            )
+            job.advance_node(node, job.actual[node] * share)
+        assert job.remaining_wc() == self._fresh_sum(job) == 0
 
 
 class TestSchedulerView:
